@@ -14,7 +14,6 @@ from .graphs import (
     GraphError,
     LoopEdgeError,
     VertexOutOfRangeError,
-    build_graph,
     complete_graph,
     cycle_graph,
     distance_matrix,
@@ -67,6 +66,7 @@ from .formulas import (
 from .verification import (
     CONSISTENT,
     ERRATUM,
+    UNVERIFIED,
     DiscrepancyReport,
     GridPoint,
     known_errata,

@@ -29,6 +29,7 @@ from .qspr import (
 from .verification import (
     ERRATUM,
     RANDOM_FORMULA_IDS,
+    UNVERIFIED,
     reports_to_csv,
     known_errata,
     verify,
@@ -76,6 +77,21 @@ def _parse_sizes(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nbzagreb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,7 +103,7 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("--sizes", type=_parse_sizes, metavar="N1,N2,...")
     p_compute.add_argument("--input", metavar="FILE", help="edge-list file")
     p_compute.add_argument("--index", required=True, choices=INDEX_IDS)
-    p_compute.add_argument("--precision", type=int, default=6)
+    p_compute.add_argument("--precision", type=_int_at_least(0), default=6)
 
     p_product = sub.add_parser("product", help="construct a product of two graphs")
     p_product.add_argument(
@@ -105,7 +121,7 @@ def _build_parser() -> _Parser:
     )
     p_verify.add_argument("--formula", required=True, metavar="ID|all")
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--trials", type=int, default=200)
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=200)
     p_verify.add_argument("--m", type=_parse_int_range, metavar="INT|A..B")
     p_verify.add_argument("--n", type=_parse_int_range, metavar="INT|A..B")
     p_verify.add_argument("--sizes", type=_parse_sizes, metavar="N1,N2,...")
@@ -113,13 +129,14 @@ def _build_parser() -> _Parser:
     p_verify.add_argument(
         "--strict",
         action="store_true",
-        help="exit nonzero if a formula outside the known-errata list reports ERRATUM",
+        help="exit nonzero if a formula outside the known-errata list reports "
+        "ERRATUM, or if a formula checked no point (UNVERIFIED)",
     )
 
     p_qspr = sub.add_parser("qspr", help="octane property regression")
     p_qspr.add_argument("--property", required=True, choices=PROPERTY_NAMES)
     p_qspr.add_argument("--csv", metavar="PATH")
-    p_qspr.add_argument("--precision", type=int, default=6)
+    p_qspr.add_argument("--precision", type=_int_at_least(0), default=6)
 
     p_degen = sub.add_parser("degeneracy", help="mean isomer degeneracy table")
     p_degen.add_argument("--csv", metavar="PATH")
@@ -204,6 +221,13 @@ def _cmd_verify(parser, args) -> int:
         if regressions:
             print(
                 f"strict mode: unexpected ERRATUM in {', '.join(regressions)}",
+                file=sys.stderr,
+            )
+            return EXIT_DATA
+        unverified = [r.formula_id for r in reports if r.status == UNVERIFIED]
+        if unverified:
+            print(
+                f"strict mode: no point checked in {', '.join(unverified)}",
                 file=sys.stderr,
             )
             return EXIT_DATA

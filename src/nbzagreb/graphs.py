@@ -5,6 +5,15 @@ construction (sorted neighbour lists, lexicographically sorted edge list)
 and value-semantic: two graphs compare equal iff they have the same order
 and the same edge set.  All operations here are pure, so graphs can be
 shared freely between threads.
+
+Construction has two steps.  ``Graph(order, edge_pairs)`` validates every
+pair and collects its canonical key ``(min, max)``; one shared fill step
+then sorts the keys, builds the neighbour lists and stores the degrees.
+The private ``Graph._from_canonical(order, keys)`` runs the fill step
+alone.  Its contract: ``keys`` is a list of distinct pairs ``(u, v)`` with
+``0 <= u < v < order``, which the graph takes over (it is sorted in
+place).  Nothing checks the contract; it is for builders whose output
+meets it by construction, such as the products in :mod:`.products`.
 """
 
 from __future__ import annotations
@@ -46,12 +55,12 @@ class Graph:
     with an error naming the offending pair.
     """
 
-    __slots__ = ("_order", "_adj", "_edges")
+    __slots__ = ("_order", "_adj", "_edges", "_degrees")
 
     def __init__(self, order: int, edge_pairs: Iterable[tuple[int, int]] = ()):
         if order < 1:
             raise GraphError(f"order must be >= 1, got {order}")
-        adj: list[list[int]] = [[] for _ in range(order)]
+        keys: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for u, v in edge_pairs:
             if not (0 <= u < order and 0 <= v < order):
@@ -64,11 +73,28 @@ class Graph:
             if key in seen:
                 raise DuplicateEdgeError(f"edge ({u}, {v}) appears more than once")
             seen.add(key)
+            keys.append(key)
+        self._fill(order, keys)
+
+    @classmethod
+    def _from_canonical(cls, order: int, keys: list[tuple[int, int]]) -> Graph:
+        """Trusted construction; see the module docstring for the contract."""
+        graph = object.__new__(cls)
+        graph._fill(order, keys)
+        return graph
+
+    def _fill(self, order: int, keys: list[tuple[int, int]]) -> None:
+        # timsort is linear on sorted input; appending in key order leaves
+        # every neighbour list sorted (lower neighbours first, then upper)
+        keys.sort()
+        adj: list[list[int]] = [[] for _ in range(order)]
+        for u, v in keys:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(ns)) for ns in adj))
-        object.__setattr__(self, "_edges", tuple(sorted(seen)))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_edges", tuple(keys))
+        object.__setattr__(self, "_degrees", tuple(map(len, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -99,20 +125,19 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self._degrees[v]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(ns) for ns in self._adj)
+        return self._degrees
 
     def neighbor_degree_sum(self, v: int) -> int:
         """Sum of the degrees of the neighbours of ``v``."""
         self._check_vertex(v)
-        return sum(len(self._adj[u]) for u in self._adj[v])
+        return sum(map(self._degrees.__getitem__, self._adj[v]))
 
     def neighbor_degree_sums(self) -> tuple[int, ...]:
-        return tuple(
-            sum(len(self._adj[u]) for u in ns) for ns in self._adj
-        )
+        degree_of = self._degrees.__getitem__
+        return tuple(sum(map(degree_of, ns)) for ns in self._adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -135,11 +160,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(order={self._order}, size={self.size})"
-
-
-def build_graph(order: int, edge_pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Construct a canonical :class:`Graph`; alias for the constructor."""
-    return Graph(order, edge_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,21 @@ product vertices.  Adjacency rules:
 * wreath (composition, G1[G2]):  (u1,v1) ~ (u2,v2)  iff  u1u2 is an edge
   of G1, or u1 == u2 and v1v2 is an edge of G2.  Not commutative.
 
+Every kind hands its pairs to the trusted ``Graph._from_canonical``, whose
+contract is distinct pairs ``(x, y)`` with ``0 <= x < y < n1*n2``.  With
+``u1 < u2`` and ``v1 < v2`` the canonical factor edges, each kind meets it:
+
+* pairs inside one block ``u`` are ``(u*n2 + v1, u*n2 + v2)``, increasing
+  because ``v1 < v2``; blocks differ in ``u`` and factor edges are distinct;
+* pairs between blocks run from block ``u1`` to block ``u2 > u1``, so the
+  first vertex is smaller whatever the second coordinates are.  Cartesian
+  pairs ``(u1, v)-(u2, v)`` differ in ``(u1, u2, v)``; tensor pairs
+  ``(u1, a)-(u2, b)`` take each orientation ``(a, b)`` of each edge of
+  ``G2`` once, and the two orientations differ because ``v1 != v2``;
+  wreath pairs ``(u1, a)-(u2, b)`` take each of the ``n2 * n2`` pairs
+  ``(a, b)`` once per edge of ``G1``;
+* no pair is both inside one block and between two blocks.
+
 Each product kind obeys a per-vertex law for the neighbour-degree sum of
 the constructed graph; :func:`delta_law_check` verifies it exhaustively.
 """
@@ -48,44 +63,44 @@ def _check_cap(n1: int, n2: int, vertex_cap: int) -> None:
         )
 
 
+def _blocks(n1: int, n2: int) -> list[list[int]]:
+    """Product vertex ids block by block: ``blocks[u][v] == u * n2 + v``.
+
+    Pairs are built from these lists, so every product vertex is one int
+    object shared by all its pairs and neighbour lists.
+    """
+    return [list(range(base, base + n2)) for base in range(0, n1 * n2, n2)]
+
+
 def cartesian(G1: Graph, G2: Graph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     n1, n2 = G1.order, G2.order
     _check_cap(n1, n2, vertex_cap)
-    edges = []
-    for u in range(n1):
-        base = u * n2
-        for v1, v2 in G2.edges:
-            edges.append((base + v1, base + v2))
-    for u1, u2 in G1.edges:
-        for v in range(n2):
-            edges.append((u1 * n2 + v, u2 * n2 + v))
-    return Graph(n1 * n2, edges)
+    blocks = _blocks(n1, n2)
+    edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
+    edges += [pair for u1, u2 in G1.edges for pair in zip(blocks[u1], blocks[u2])]
+    return Graph._from_canonical(n1 * n2, edges)
 
 
 def tensor(G1: Graph, G2: Graph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     n1, n2 = G1.order, G2.order
     _check_cap(n1, n2, vertex_cap)
-    edges = []
-    for u1, u2 in G1.edges:
-        for v1, v2 in G2.edges:
-            edges.append((u1 * n2 + v1, u2 * n2 + v2))
-            edges.append((u1 * n2 + v2, u2 * n2 + v1))
-    return Graph(n1 * n2, edges)
+    blocks = _blocks(n1, n2)
+    arcs = [*G2.edges, *[(v2, v1) for v1, v2 in G2.edges]]
+    edges = [
+        (row1[a], row2[b])
+        for row1, row2 in [(blocks[u1], blocks[u2]) for u1, u2 in G1.edges]
+        for a, b in arcs
+    ]
+    return Graph._from_canonical(n1 * n2, edges)
 
 
 def wreath(G1: Graph, G2: Graph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     n1, n2 = G1.order, G2.order
     _check_cap(n1, n2, vertex_cap)
-    edges = []
-    for u1, u2 in G1.edges:
-        for v1 in range(n2):
-            for v2 in range(n2):
-                edges.append((u1 * n2 + v1, u2 * n2 + v2))
-    for u in range(n1):
-        base = u * n2
-        for v1, v2 in G2.edges:
-            edges.append((base + v1, base + v2))
-    return Graph(n1 * n2, edges)
+    blocks = _blocks(n1, n2)
+    edges = [(x, y) for u1, u2 in G1.edges for x in blocks[u1] for y in blocks[u2]]
+    edges += [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
+    return Graph._from_canonical(n1 * n2, edges)
 
 
 _CONSTRUCTORS = {

@@ -4,9 +4,10 @@ For every catalogued formula this module builds the corresponding product
 graphs vertex by vertex, computes the neighbourhood Zagreb index directly
 from the definition, and compares it against the closed form evaluated
 verbatim.  The result is a deterministic :class:`DiscrepancyReport`:
-``CONSISTENT`` when every delta is zero, ``ERRATUM`` otherwise.  The
-constructions are the oracle; the closed forms are only ever compared,
-never trusted.
+``UNVERIFIED`` when no point was checked (zero trials, or every point
+skipped over the vertex cap), ``CONSISTENT`` when every checked delta is
+zero, ``ERRATUM`` otherwise.  The constructions are the oracle; the closed
+forms are only ever compared, never trusted.
 
 Random-factor rules (PROP1, PROP2, PROP3, PROP4_PRINTED) are checked on a
 seeded corpus that mixes G(n, p) samples with degenerate shapes (paths,
@@ -58,6 +59,7 @@ from .products import (
 
 CONSISTENT = "CONSISTENT"
 ERRATUM = "ERRATUM"
+UNVERIFIED = "UNVERIFIED"
 
 #: Formula ids checked on seeded random factor tuples instead of a grid.
 RANDOM_FORMULA_IDS = ("PROP1", "PROP2", "PROP3", "PROP4_PRINTED")
@@ -94,7 +96,10 @@ class DiscrepancyReport:
 
     @property
     def status(self) -> str:
-        if any(p.delta for p in self.points if not p.skipped):
+        checked = [p for p in self.points if not p.skipped]
+        if not checked:
+            return UNVERIFIED
+        if any(p.delta for p in checked):
             return ERRATUM
         return CONSISTENT
 

@@ -46,6 +46,18 @@ class TestCompute:
         )
         assert code == 0 and out == "1.41421356237\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "path", "--n", "5", "--index", "CHI"),
+            ("qspr", "--property", "acentric"),
+        ],
+    )
+    def test_negative_precision_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--precision", "-3")
+        assert code == 1 and out == ""
+        assert "--precision: must be >= 0, got -3" in err
+
     def test_family_and_input_conflict(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("2 1\n0 1\n")
@@ -154,6 +166,25 @@ class TestVerify:
         assert code == 0
         assert "PROP4_PRINTED: ERRATUM" in out
         assert "PROP1: CONSISTENT" in out
+
+
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(
+            capsys, "verify", "--formula", "PROP1", "--trials", trials, "--seed", "1",
+            "--strict",
+        )
+        assert code == 1 and out == ""
+        assert f"--trials: must be >= 1, got {trials}" in err
+
+    def test_strict_fails_when_no_point_checked(self, capsys):
+        # 1000 x 2000 is over the default vertex cap, so the one point is skipped
+        argv = ("verify", "--formula", "EX_GRID", "--m", "1000", "--n", "2000")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "EX_GRID: UNVERIFIED (1 points, 1 skipped)\n"
+        code, out, err = run(capsys, *argv, "--strict")
+        assert code == 2 and "EX_GRID: UNVERIFIED" in out
+        assert "no point checked in EX_GRID" in err
 
 
 class TestQspr:

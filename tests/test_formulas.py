@@ -6,6 +6,7 @@ from nbzagreb import (
     CONSISTENT,
     ERRATUM,
     FORMULA_IDS,
+    UNVERIFIED,
     GraphStats,
     ParamOutOfStatedRangeWarning,
     complete_graph,
@@ -220,6 +221,22 @@ class TestVerify:
         by_m = {dict(p.params)["m"]: p for p in report.points}
         assert not by_m[4].skipped
         assert by_m[50].skipped and by_m[50].oracle is None and by_m[50].delta is None
+
+    def test_zero_trials_unverified(self):
+        report = verify("PROP1", seed=1, trials=0)
+        assert report.points == ()
+        assert report.status == UNVERIFIED
+        assert report.summary() == "PROP1: UNVERIFIED (0 points)"
+
+    def test_all_points_skipped_unverified(self):
+        report = verify("EX_GRID", m_values=[50], n_values=[50, 60], vertex_cap=500)
+        assert report.skipped_points == 2
+        assert report.status == UNVERIFIED
+
+    def test_partly_skipped_report_keeps_its_verdict(self):
+        report = verify("EX_PRISM", n_values=[3, 400], vertex_cap=500)
+        assert report.skipped_points == 1
+        assert report.status == CONSISTENT
 
     def test_out_of_range_flag_carried(self):
         report = verify("EX_NANOTUBE", m_values=[3], n_values=[3, 4])

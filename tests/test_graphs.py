@@ -12,7 +12,6 @@ from nbzagreb import (
     GraphError,
     LoopEdgeError,
     VertexOutOfRangeError,
-    build_graph,
     complete_graph,
     cycle_graph,
     distance_matrix,
@@ -37,28 +36,48 @@ def graphs(draw, max_order=8):
 
 class TestConstruction:
     def test_path_degrees(self):
-        g = build_graph(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         assert g.degrees() == (1, 2, 1)
 
     def test_single_vertex(self):
-        g = build_graph(1, [])
+        g = Graph(1, [])
         assert g.order == 1 and g.size == 0
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateEdgeError, match=r"\(0, 1\)"):
-            build_graph(4, [(0, 1), (0, 1)])
+            Graph(4, [(0, 1), (0, 1)])
 
     def test_reversed_duplicate_rejected(self):
         with pytest.raises(DuplicateEdgeError):
-            build_graph(4, [(0, 1), (1, 0)])
+            Graph(4, [(0, 1), (1, 0)])
 
     def test_loop_rejected(self):
         with pytest.raises(LoopEdgeError, match=r"\(2, 2\)"):
-            build_graph(4, [(2, 2)])
+            Graph(4, [(2, 2)])
 
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRangeError, match=r"\(0, 4\)"):
-            build_graph(4, [(0, 4)])
+            Graph(4, [(0, 4)])
+
+    @pytest.mark.parametrize(
+        "pairs, error, message",
+        [
+            ([(0, 1), (2, 2), (1, 0)], LoopEdgeError, "edge (2, 2) is a self-loop"),
+            (
+                [(1, 0), (0, 5), (0, 1)],
+                VertexOutOfRangeError,
+                "edge (0, 5) has a vertex outside 0..3",
+            ),
+            ([(2, 1), (1, 2), (3, 3)], DuplicateEdgeError, "edge (1, 2) appears more than once"),
+            # a loop outside the range fails the range check, which comes first
+            ([(0, 1), (5, 5)], VertexOutOfRangeError, "edge (5, 5) has a vertex outside 0..3"),
+        ],
+    )
+    def test_first_bad_pair_in_input_order_decides(self, pairs, error, message):
+        with pytest.raises(GraphError) as exc:
+            Graph(4, pairs)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
     def test_zero_order_rejected(self):
         with pytest.raises(GraphError):
@@ -82,6 +101,36 @@ class TestConstruction:
         g = path_graph(3)
         with pytest.raises(AttributeError):
             g.order = 5
+
+
+@st.composite
+def scrambled(draw, max_order=8):
+    """A graph and its edges as a shuffled list with random orientations."""
+    g = draw(graphs(max_order))
+    flips = draw(st.lists(st.booleans(), min_size=g.size, max_size=g.size))
+    pairs = [(v, u) if flip else (u, v) for (u, v), flip in zip(g.edges, flips)]
+    return g, draw(st.permutations(pairs))
+
+
+class TestCanonicalFill:
+    @given(scrambled())
+    def test_unsorted_flipped_pairs_give_the_same_graph(self, case):
+        g, pairs = case
+        h = Graph(g.order, pairs)
+        assert h == g and hash(h) == hash(g)
+        assert h.edges == g.edges and h.adjacency == g.adjacency
+
+    @given(scrambled())
+    def test_stored_degrees_match_adjacency(self, case):
+        g, pairs = case
+        h = Graph(g.order, pairs)
+        adj = h.adjacency
+        assert all(list(ns) == sorted(ns) for ns in adj)
+        assert h.degrees() == tuple(len(ns) for ns in adj)
+        assert h.neighbor_degree_sums() == tuple(
+            sum(len(adj[u]) for u in ns) for ns in adj
+        )
+        assert [h.degree(v) for v in range(h.order)] == list(h.degrees())
 
 
 class TestNeighborDegreeSum:

@@ -3,9 +3,11 @@ from itertools import permutations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbzagreb import (
+    Graph,
     ProductKind,
     SizeOverflowError,
     cartesian,
@@ -90,6 +92,56 @@ class TestConstructions:
             cartesian(path_graph(100), path_graph(200), vertex_cap=10 ** 4)
         with pytest.raises(SizeOverflowError):
             cartesian_n([path_graph(30)] * 4, vertex_cap=10 ** 5)
+
+
+def _by_definition(G1, G2, kind):
+    """The product through the validated constructor, pair by pair from the
+    adjacency rules in the ``products`` module docstring."""
+    n2 = G2.order
+    e1, e2 = set(G1.edges), set(G2.edges)
+
+    def adjacent(x, y):
+        (u1, v1), (u2, v2) = divmod(x, n2), divmod(y, n2)
+        in_g1 = (min(u1, u2), max(u1, u2)) in e1
+        in_g2 = (min(v1, v2), max(v1, v2)) in e2
+        if kind is ProductKind.CARTESIAN:
+            return (u1 == u2 and in_g2) or (v1 == v2 and in_g1)
+        if kind is ProductKind.TENSOR:
+            return in_g1 and in_g2
+        return in_g1 or (u1 == u2 and in_g2)
+
+    n = G1.order * n2
+    return Graph(n, [(x, y) for x in range(n) for y in range(x + 1, n) if adjacent(x, y)])
+
+
+class TestTrustedConstruction:
+    @pytest.mark.parametrize("kind", list(ProductKind))
+    @given(graphs(max_order=5), graphs(max_order=5))
+    @example(empty_graph(1), complete_graph(4))
+    @example(cycle_graph(4), empty_graph(1))
+    @example(empty_graph(3), path_graph(3))
+    @example(star_graph(4), empty_graph(2))
+    @example(empty_graph(1), empty_graph(1))
+    def test_product_matches_definition(self, kind, g1, g2):
+        built = product(g1, g2, kind)
+        expected = _by_definition(g1, g2, kind)
+        assert built.order == expected.order
+        assert built.edges == expected.edges
+        assert built.adjacency == expected.adjacency
+        assert built.degrees() == expected.degrees()
+        assert built.neighbor_degree_sums() == expected.neighbor_degree_sums()
+        assert built == expected and hash(built) == hash(expected)
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    def test_from_canonical_on_shuffled_keys(self, g, rnd):
+        keys = list(g.edges)
+        rnd.shuffle(keys)
+        trusted = Graph._from_canonical(g.order, list(keys))
+        validated = Graph(g.order, keys)
+        assert trusted.edges == validated.edges == g.edges
+        assert trusted.adjacency == validated.adjacency
+        assert trusted.degrees() == validated.degrees()
+        assert trusted == validated and hash(trusted) == hash(validated)
 
 
 class TestCartesianN:
