@@ -14,12 +14,12 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .alkanes import AlkaneNameError, parse_alkane_name
+from .alkanes import parse_alkane_name
 from .families import FAMILY_PARAMS, build_family
 from .formulas import FORMULA_IDS
-from .graphs import GraphError, parse_edge_list, serialize_edge_list
-from .indices import INDEX_IDS, TooLargeError, compute_index, neighbourhood_zagreb
-from .products import ProductKind, SizeOverflowError, product
+from .graphs import parse_edge_list, serialize_edge_list
+from .indices import INDEX_IDS, compute_index, neighbourhood_zagreb
+from .products import ProductKind, product
 from .qspr import (
     PROPERTY_NAMES,
     degeneracy_table,
@@ -291,13 +291,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (GraphError, AlkaneNameError, TooLargeError, SizeOverflowError) as exc:
-        print(f"nbzagreb: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"nbzagreb: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # every data error of the library (GraphError, AlkaneNameError,
+        # TooLargeError, SizeOverflowError, ...) is a ValueError
         print(f"nbzagreb: {exc}", file=sys.stderr)
         return EXIT_DATA
 

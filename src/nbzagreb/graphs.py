@@ -1,16 +1,24 @@
 """Immutable simple graphs: construction, traversal, text serialization.
 
 Vertices are dense 0-based integers.  A :class:`Graph` is canonical after
-construction (sorted neighbour lists, lexicographically sorted edge list)
+construction (lexicographically sorted edge list, sorted neighbour tuples)
 and value-semantic: two graphs compare equal iff they have the same order
-and the same edge set.  All operations here are pure, so graphs can be
-shared freely between threads.
+and the same edge set.
+
+A graph stores its order, the sorted edge tuple and the degree tuple.  The
+per-vertex neighbour tuples (``adjacency``) are built on first use and
+cached, because the degree-based indices, edge-list I/O and the products
+read only edges and degrees, and one container per vertex (plus the cyclic
+garbage collector's passes over them) was most of a large build's cost.
+Graphs can be shared between threads: two threads reading ``adjacency`` of
+a fresh graph may both build it, which is harmless because both results
+are equal.
 
 Construction has two steps.  ``Graph(order, edge_pairs)`` validates every
 pair and collects its canonical key ``(min, max)``; one shared fill step
-then sorts the keys, builds the neighbour lists and stores the degrees.
-The private ``Graph._from_canonical(order, keys)`` runs the fill step
-alone.  Its contract: ``keys`` is a list of distinct pairs ``(u, v)`` with
+then sorts the keys and counts the degrees.  The private
+``Graph._from_canonical(order, keys)`` runs the fill step alone.  Its
+contract: ``keys`` is a list of distinct pairs ``(u, v)`` with
 ``0 <= u < v < order``, which the graph takes over (it is sorted in
 place).  Nothing checks the contract; it is for builders whose output
 meets it by construction, such as the products in :mod:`.products`.
@@ -21,6 +29,10 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable
+
+#: Default cap on graph order for products and parsed edge-list headers;
+#: wreath products blow up as |V2|^2 * |E1|.
+DEFAULT_VERTEX_CAP = 10 ** 6
 
 
 class GraphError(ValueError):
@@ -53,6 +65,10 @@ class Graph:
     ``Graph(order, edge_pairs)`` validates every pair: loops, duplicate
     pairs (in either orientation) and out-of-range vertex ids are rejected
     with an error naming the offending pair.
+
+    Stored: ``_order``, the sorted ``_edges`` and the ``_degrees`` tuple.
+    ``_adj`` is ``None`` until ``adjacency`` is first read, which builds
+    the neighbour tuples from the edges and caches them.
     """
 
     __slots__ = ("_order", "_adj", "_edges", "_degrees")
@@ -84,20 +100,24 @@ class Graph:
         return graph
 
     def _fill(self, order: int, keys: list[tuple[int, int]]) -> None:
-        # timsort is linear on sorted input; appending in key order leaves
-        # every neighbour list sorted (lower neighbours first, then upper)
+        # timsort is linear on sorted input
         keys.sort()
-        adj: list[list[int]] = [[] for _ in range(order)]
+        degrees = [0] * order
         for u, v in keys:
-            adj[u].append(v)
-            adj[v].append(u)
+            degrees[u] += 1
+            degrees[v] += 1
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         object.__setattr__(self, "_edges", tuple(keys))
-        object.__setattr__(self, "_degrees", tuple(map(len, adj)))
+        object.__setattr__(self, "_degrees", tuple(degrees))
+        object.__setattr__(self, "_adj", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating
+        # constructor; the cached adjacency is not carried over
+        return (Graph, (self._order, self._edges))
 
     @property
     def order(self) -> int:
@@ -116,12 +136,22 @@ class Graph:
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbour tuples."""
-        return self._adj
+        """Per-vertex sorted neighbour tuples, built on first use."""
+        adj = self._adj
+        if adj is None:
+            # appending in sorted edge order leaves every neighbour list
+            # sorted (lower neighbours first, then upper)
+            lists: list[list[int]] = [[] for _ in range(self._order)]
+            for u, v in self._edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            adj = tuple(map(tuple, lists))
+            object.__setattr__(self, "_adj", adj)
+        return adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._adj[v]
+        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -133,16 +163,21 @@ class Graph:
     def neighbor_degree_sum(self, v: int) -> int:
         """Sum of the degrees of the neighbours of ``v``."""
         self._check_vertex(v)
-        return sum(map(self._degrees.__getitem__, self._adj[v]))
+        return sum(map(self._degrees.__getitem__, self.adjacency[v]))
 
     def neighbor_degree_sums(self) -> tuple[int, ...]:
-        degree_of = self._degrees.__getitem__
-        return tuple(sum(map(degree_of, ns)) for ns in self._adj)
+        """Every vertex's neighbour-degree sum, from one sweep over the edges."""
+        degrees = self._degrees
+        sums = [0] * self._order
+        for u, v in self._edges:
+            sums[u] += degrees[v]
+            sums[v] += degrees[u]
+        return tuple(sums)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u]
+        return v in self.adjacency[u]
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self._order):
@@ -221,7 +256,11 @@ def distance_matrix(G: Graph) -> list[list[float]]:
 #   u v          (exactly m lines, 0 <= u,v < n)
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a canonical :class:`Graph`."""
+    """Parse edge-list text into a canonical :class:`Graph`.
+
+    A header order above :data:`DEFAULT_VERTEX_CAP` is rejected on the
+    header line, before anything of that size is allocated.
+    """
     header: tuple[int, int] | None = None
     header_line = 0
     edges: list[tuple[int, int]] = []
@@ -243,6 +282,10 @@ def parse_edge_list(text: str) -> Graph:
             header_line = lineno
             if a < 1 or b < 0:
                 raise EdgeListSyntaxError(f"bad header {line!r}", lineno)
+            if a > DEFAULT_VERTEX_CAP:
+                raise EdgeListSyntaxError(
+                    f"order {a} exceeds vertex cap {DEFAULT_VERTEX_CAP}", lineno
+                )
         else:
             if len(edges) >= header[1]:
                 raise EdgeListSyntaxError(

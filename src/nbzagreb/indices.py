@@ -89,6 +89,15 @@ def _check_counting_guard(G: Graph) -> None:
         )
 
 
+def _adjacency_masks(G: Graph) -> list[int]:
+    """Per-vertex neighbour sets as bitmasks over the vertex ids."""
+    masks = [0] * G.order
+    for u, v in G.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def hosoya(G: Graph) -> int:
     """Number of matchings, including the empty matching.
 
@@ -97,10 +106,7 @@ def hosoya(G: Graph) -> int:
     on the bitmask of surviving vertices.
     """
     _check_counting_guard(G)
-    adj_masks = [0] * G.order
-    for u, v in G.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
+    adj_masks = _adjacency_masks(G)
     memo: dict[int, int] = {}
 
     def count(mask: int) -> int:
@@ -136,10 +142,7 @@ def merrifield_simmons(G: Graph) -> int:
     omits the whole closed neighbourhood of v.
     """
     _check_counting_guard(G)
-    adj_masks = [0] * G.order
-    for u, v in G.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
+    adj_masks = _adjacency_masks(G)
     memo: dict[int, int] = {}
 
     def count(mask: int) -> int:

@@ -40,10 +40,7 @@ import enum
 from collections.abc import Sequence
 from functools import reduce
 
-from .graphs import Graph
-
-#: Default cap on product order; wreath blows up as |V2|^2 * |E1|.
-DEFAULT_VERTEX_CAP = 10 ** 6
+from .graphs import DEFAULT_VERTEX_CAP, Graph
 
 
 class SizeOverflowError(ValueError):

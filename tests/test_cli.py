@@ -84,6 +84,31 @@ class TestCompute:
         assert code == 2 and "line 3" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--family", "path", "--n", "40", "--index", "Z"),
+                "order 40 exceeds the counting guard of 32",
+            ),
+            (
+                ("--family", "grid", "--m", "1001", "--n", "1000", "--index", "MN"),
+                "product order 1001000 exceeds vertex cap 1000000",
+            ),
+        ],
+    )
+    def test_library_data_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "compute", *argv)
+        assert code == 2 and out == ""
+        assert err == f"nbzagreb: {message}\n"
+
+    def test_header_order_above_cap_is_data_error(self, capsys, tmp_path):
+        f = tmp_path / "huge.txt"
+        f.write_text("1000000000000 0\n")
+        code, out, err = run(capsys, "compute", "--input", str(f), "--index", "MN")
+        assert code == 2 and out == ""
+        assert err == "nbzagreb: line 1: order 1000000000000 exceeds vertex cap 1000000\n"
+
+    @pytest.mark.parametrize(
         "family,params",
         [
             ("path", ["--n", "5"]),

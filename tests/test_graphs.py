@@ -1,29 +1,39 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nbzagreb import (
+    DEFAULT_VERTEX_CAP,
     DuplicateEdgeError,
     EdgeListSyntaxError,
     Graph,
     GraphError,
     LoopEdgeError,
+    ProductKind,
     VertexOutOfRangeError,
     complete_graph,
     cycle_graph,
     distance_matrix,
     empty_graph,
+    first_zagreb,
+    forgotten,
+    neighbourhood_zagreb,
     parse_edge_list,
     path_graph,
+    product,
     random_graph,
+    randic,
+    second_zagreb,
     serialize_edge_list,
     star_graph,
 )
 
-from oracle_helpers import floyd_warshall
+from oracle_helpers import adjacency_from_edges, floyd_warshall
 
 
 @st.composite
@@ -133,6 +143,76 @@ class TestCanonicalFill:
         assert [h.degree(v) for v in range(h.order)] == list(h.degrees())
 
 
+BUILDS = ("Graph", "_from_canonical", "parse_edge_list", *(k.value for k in ProductKind))
+
+
+def _build(how, g, h):
+    """``g`` rebuilt by ``how``, or for a product kind the product of ``g`` and ``h``."""
+    if how == "Graph":
+        return Graph(g.order, [(v, u) for u, v in reversed(g.edges)])
+    if how == "_from_canonical":
+        return Graph._from_canonical(g.order, list(reversed(g.edges)))
+    if how == "parse_edge_list":
+        return parse_edge_list(serialize_edge_list(g))
+    return product(g, h, ProductKind(how))
+
+
+class TestStoredLayout:
+    """A graph stores edges and degrees; ``adjacency`` is built on first use."""
+
+    @given(st.sampled_from(BUILDS), graphs(max_order=6), graphs(max_order=4))
+    @example("Graph", empty_graph(1), empty_graph(1))
+    @example("_from_canonical", Graph(5, [(1, 3)]), empty_graph(1))
+    @example("parse_edge_list", Graph(4, [(0, 2)]), empty_graph(1))
+    @example("cartesian", empty_graph(1), Graph(3, [(0, 2)]))
+    @example("tensor", Graph(3, [(0, 1)]), Graph(3, [(1, 2)]))
+    @example("wreath", Graph(3, [(1, 2)]), empty_graph(2))
+    def test_adjacency_and_sums_match_the_edges(self, how, g, h):
+        G = _build(how, g, h)
+        sums = G.neighbor_degree_sums()
+        assert G._adj is None
+        oracle = adjacency_from_edges(G.order, G.edges)
+        assert G.adjacency == tuple(tuple(sorted(ns)) for ns in oracle)
+        assert sums == tuple(sum(len(oracle[u]) for u in ns) for ns in oracle)
+
+    def test_adjacency_is_cached(self):
+        g = cycle_graph(5)
+        assert g.adjacency is g.adjacency
+
+    @given(graphs())
+    def test_equality_and_hash_ignore_the_cache(self, g):
+        fresh = Graph(g.order, g.edges)
+        before = hash(g)
+        g.adjacency
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh) == before
+
+    @pytest.mark.parametrize("kind", list(ProductKind))
+    def test_linear_indices_and_io_build_no_adjacency(self, kind):
+        G = product(cycle_graph(5), path_graph(4), kind)
+        for index in (first_zagreb, second_zagreb, neighbourhood_zagreb, forgotten, randic):
+            index(G)
+        assert G._adj is None
+        H = parse_edge_list(serialize_edge_list(G))
+        serialize_edge_list(H)
+        assert H._adj is None
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_copy_and_pickle(self, clone, read_first):
+        g = Graph(5, [(3, 1), (0, 1), (1, 2)])
+        if read_first:
+            g.adjacency
+        c = clone(g)
+        assert c._adj is None
+        assert c == g and hash(c) == hash(g)
+        assert c.adjacency == g.adjacency
+
+
 class TestNeighborDegreeSum:
     def test_cycle_is_constant_four(self):
         g = cycle_graph(5)
@@ -223,6 +303,24 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListSyntaxError) as exc:
             parse_edge_list("2 1\n0 1\n1 0\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1000000000000 0\n", 1),
+            (f"{DEFAULT_VERTEX_CAP + 1} 0\n", 1),
+            (f"# big\n\n{DEFAULT_VERTEX_CAP + 1} 1\n0 1\n", 3),
+        ],
+    )
+    def test_header_order_above_the_cap_rejected(self, text, line):
+        with pytest.raises(EdgeListSyntaxError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line == line
+        assert str(exc.value).endswith(f"exceeds vertex cap {DEFAULT_VERTEX_CAP}")
+
+    def test_header_order_at_the_cap_accepted(self):
+        g = parse_edge_list(f"{DEFAULT_VERTEX_CAP} 1\n0 {DEFAULT_VERTEX_CAP - 1}\n")
+        assert g.order == DEFAULT_VERTEX_CAP and g.size == 1
 
     def test_serialize_sorted(self):
         g = Graph(3, [(1, 2), (0, 2), (0, 1)])
