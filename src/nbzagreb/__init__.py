@@ -49,7 +49,7 @@ from .products import (
     tensor,
     wreath,
 )
-from .families import build_family, FAMILY_PARAMS
+from .families import FAMILIES, build_family
 from .formulas import (
     FORMULA_IDS,
     GraphStats,

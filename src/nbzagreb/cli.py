@@ -3,9 +3,11 @@
 Subcommands: ``compute``, ``product``, ``verify``, ``qspr``,
 ``degeneracy``, ``parse-alkane``.  Every command is deterministic given
 its flags (``verify`` requires an explicit ``--seed`` whenever a
-random-trial rule is selected).  Exit codes: 0 success, 1 usage error,
-2 data error.  Numeric output: integers verbatim, rationals as ``p/q``,
-floats with 6 significant digits (``--precision`` widens).
+random-trial rule is selected).  Exit codes: 0 success, 1 usage error
+(including an ``--m``, ``--n`` or ``--sizes`` that no selected formula or
+family takes), 2 data error (including running out of memory).  Numeric
+output: integers verbatim, rationals as ``p/q``, floats with 6
+significant digits (``--precision`` widens).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import sys
 from fractions import Fraction
 
 from .alkanes import parse_alkane_name
-from .families import FAMILY_PARAMS, build_family
-from .formulas import FORMULA_IDS
+from .families import FAMILIES, build_family
+from .formulas import CATALOG, FORMULA_IDS
 from .graphs import parse_edge_list, serialize_edge_list
 from .indices import INDEX_IDS, compute_index, neighbourhood_zagreb
 from .products import ProductKind, product
@@ -92,12 +94,18 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _untaken_param(args, taken) -> str | None:
+    """The first of ``--m``, ``--n``, ``--sizes`` given but not in ``taken``."""
+    given = [p for p in ("m", "n", "sizes") if getattr(args, p) is not None]
+    return next((f"--{p}" for p in given if p not in taken), None)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nbzagreb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute a topological index")
-    p_compute.add_argument("--family", choices=sorted(FAMILY_PARAMS))
+    p_compute.add_argument("--family", choices=sorted(FAMILIES))
     p_compute.add_argument("--n", type=int)
     p_compute.add_argument("--m", type=int)
     p_compute.add_argument("--sizes", type=_parse_sizes, metavar="N1,N2,...")
@@ -155,14 +163,16 @@ def _load_graph(path: str):
 def _cmd_compute(parser, args) -> int:
     if (args.family is None) == (args.input is None):
         return parser._usage_exit("compute needs exactly one of --family / --input")
-    if args.family is not None:
-        given = {"n": args.n, "m": args.m, "sizes": args.sizes}
-        missing = [p for p in FAMILY_PARAMS[args.family] if given[p] is None]
-        if missing:
-            return parser._usage_exit(
-                f"family {args.family!r} needs --{' --'.join(missing)}"
-            )
-        graph = build_family(args.family, n=args.n, m=args.m, sizes=args.sizes)
+    source = f"family {args.family!r}" if args.family else "--input"
+    names = FAMILIES[args.family][0] if args.family else ()
+    untaken = _untaken_param(args, names)
+    if untaken:
+        return parser._usage_exit(f"{source} takes no {untaken}")
+    missing = [p for p in names if getattr(args, p) is None]
+    if missing:
+        return parser._usage_exit(f"{source} needs --{' --'.join(missing)}")
+    if args.family:
+        graph = build_family(args.family, **{p: getattr(args, p) for p in names})
     else:
         graph = _load_graph(args.input)
     value = compute_index(graph, args.index).value
@@ -189,6 +199,9 @@ def _cmd_verify(parser, args) -> int:
         return parser._usage_exit(
             f"unknown formula {args.formula!r}; expected 'all' or one of {', '.join(FORMULA_IDS)}"
         )
+    untaken = _untaken_param(args, {p for f in selected for p in CATALOG[f].params})
+    if untaken:
+        return parser._usage_exit(f"{args.formula} takes no {untaken}")
     if args.seed is None and any(f in RANDOM_FORMULA_IDS for f in selected):
         return parser._usage_exit(
             "--seed is required when verifying random-trial rules"
@@ -196,14 +209,8 @@ def _cmd_verify(parser, args) -> int:
     seed = args.seed if args.seed is not None else 0
     sizes = [args.sizes] if args.sizes else None
     reports = [
-        verify(
-            fid,
-            seed=seed,
-            trials=args.trials,
-            m_values=args.m,
-            n_values=args.n,
-            sizes=sizes,
-        )
+        verify(fid, seed=seed, trials=args.trials, m_values=args.m, n_values=args.n,
+               sizes=sizes)
         for fid in selected
     ]
     for report in reports:
@@ -285,9 +292,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         return _HANDLERS[args.command](parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
@@ -295,6 +299,9 @@ def main(argv=None) -> int:
         # every data error of the library (GraphError, AlkaneNameError,
         # TooLargeError, SizeOverflowError, ...) is a ValueError
         print(f"nbzagreb: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print("nbzagreb: out of memory", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -1,10 +1,18 @@
-"""Catalogued closed-form expressions for the neighbourhood Zagreb index.
+"""The catalog of closed-form expressions for the neighbourhood Zagreb index.
 
 Every entry reproduces one catalogued closed form *verbatim*, including
 the entries that turn out to be wrong: the catalog is a hard contract,
 and discrepancies against direct computation are findings reported by the
 verification engine (:mod:`nbzagreb.verification`), never silently fixed
 here.  All arithmetic is exact integer arithmetic.
+
+The catalog is :data:`CATALOG`, one frozen :class:`Formula` record per
+formula id, in the order of :data:`FORMULA_IDS`.  A record holds its
+closed form, its oracle (the construction the closed form describes),
+its stated parameter range, and either the default parameter grid (the
+chemical families and HAMMING, whose one parameter is the size list) or
+the seeded factor sampler (the random-trial rules PROP1 to
+PROP4_PRINTED).  A new formula is a new record, not a new code path.
 
 Multi-index sums written over ``i != j``, ``i != j != k`` etc. are sums
 over ordered tuples of *pairwise distinct* indices, evaluated literally
@@ -14,19 +22,32 @@ Known errata in the catalog (confirmed constructively, see the
 verification engine): ``EX_LADDER``, ``EX_GRID``, ``EX_FENCE``,
 ``EX_CLOSED_FENCE`` and ``PROP4_PRINTED``.  The wreath-product rule
 ``PROP4_PRINTED`` is inconsistent with the per-vertex wreath law that the
-constructed graphs obey, and the fence examples inherit its values.
+constructed graphs obey, and the fence examples inherit its values.  The
+list of errata is data (``data/known_errata.json``), not a record field.
 """
 
 from __future__ import annotations
 
+import random
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import permutations
 from math import prod
 
-from .graphs import Graph
+from . import families
+from .families import _check_order
+from .graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 from .indices import first_zagreb, neighbourhood_zagreb, second_zagreb
+from .products import cartesian, cartesian_n, tensor, wreath
 
 
 class ParamOutOfStatedRangeWarning(UserWarning):
@@ -155,121 +176,261 @@ def mn_hamming_compact(sizes: Sequence[int]) -> int:
     return prod(sizes) * sum(s - 1 for s in sizes) ** 4
 
 
+
+
 # ---------------------------------------------------------------------------
-# Catalogued family polynomials, verbatim
+# Seeded factor corpus of the random-trial rules
 
-FORMULA_IDS = (
-    "PROP1",
-    "PROP2",
-    "PROP3",
-    "PROP4_PRINTED",
-    "HAMMING",
-    "EX_LADDER",
-    "EX_NANOTORUS",
-    "EX_NANOTUBE",
-    "EX_GRID",
-    "EX_PRISM",
-    "EX_ROOK",
-    "EX_HYPERCUBE",
-    "EX_TENSOR_PP",
-    "EX_TENSOR_CC",
-    "EX_TENSOR_KK",
-    "EX_TENSOR_PC",
-    "EX_TENSOR_PK",
-    "EX_TENSOR_CK",
-    "EX_FENCE",
-    "EX_CLOSED_FENCE",
-)
+_SHAPES = ("gnp", "gnp", "gnp", "path", "cycle", "complete", "star", "edgeless")
+_GNP_PROBS = (0.2, 0.35, 0.5, 0.7, 0.9)
 
-# id -> (parameter names, polynomial, stated-range predicate or None)
-_FAMILY_CLOSED = {
-    "EX_LADDER": (("n",), lambda n: 162 * n - 132, None),
-    "EX_NANOTORUS": (("m", "n"), lambda m, n: 256 * m * n, None),
-    "EX_NANOTUBE": (
-        ("m", "n"),
-        lambda m, n: 256 * m * n - 374 * m,
-        lambda m, n: n >= 4,
+
+def _random_factor(rng: random.Random, max_order: int) -> Graph:
+    shape = _SHAPES[rng.randrange(len(_SHAPES))]
+    if shape == "gnp":
+        n = rng.randint(1, max_order)
+        p = _GNP_PROBS[rng.randrange(len(_GNP_PROBS))]
+        return random_graph(n, p, rng.randrange(2 ** 32))
+    if shape == "path":
+        return path_graph(rng.randint(1, max_order))
+    if shape == "cycle":
+        return cycle_graph(rng.randint(3, max_order))
+    if shape == "complete":
+        return complete_graph(rng.randint(1, max_order))
+    if shape == "star":
+        return star_graph(rng.randint(2, max_order))
+    return empty_graph(rng.randint(1, max_order))
+
+
+def _factor_pair(rng: random.Random):
+    """Two factors of order <= 8 and their CSV labels."""
+    g1, g2 = _random_factor(rng, 8), _random_factor(rng, 8)
+    return (g1, g2), (("n1", g1.order), ("m1", g1.size), ("n2", g2.order), ("m2", g2.size))
+
+
+def _factor_tuple(rng: random.Random):
+    """2..4 factors of order <= 5, so n-ary products stay desk-sized, and their label."""
+    factors = [_random_factor(rng, 5) for _ in range(rng.randint(2, 4))]
+    return factors, (("orders", "x".join(str(g.order) for g in factors)),)
+
+
+def _tensor_line(left: Callable[[int], Graph], right: Callable[[int], Graph]):
+    """Oracle of the tensor line ``left(n) x right(m)``, capped before either is built."""
+
+    def build(cap: int, n: int, m: int) -> Graph:
+        _check_order(cap, n, m)
+        return tensor(left(n), right(m), vertex_cap=cap)
+
+    return build
+
+
+# ---------------------------------------------------------------------------
+# The catalog: one record per formula id, verbatim
+
+@dataclass(frozen=True)
+class Formula:
+    """One catalogued closed form and everything that checks it.
+
+    A grid formula has ``grid``: its parameter names, in the order that
+    ``closed``, ``stated`` and ``oracle`` take them, mapped to their
+    default values.  A random-trial rule has ``sample`` instead, which
+    draws one factor tuple and its CSV labels from a seeded
+    ``random.Random``; its ``closed`` takes the factors' :class:`GraphStats`.
+    ``oracle(vertex_cap, *args)`` builds the graph the closed form
+    describes, from the parameter values or the factors.  ``stated`` is
+    the catalogued parameter range, ``None`` when unconstrained.
+    """
+
+    id: str
+    closed: Callable[..., int]
+    oracle: Callable[..., Graph]
+    grid: Mapping[str, Sequence] | None = None
+    sample: Callable[[random.Random], tuple] | None = None
+    stated: Callable[..., bool] | None = None
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """Parameter names; empty for a random-trial rule."""
+        return tuple(self.grid or ())
+
+
+# Rules and families are looked up by name when a record is evaluated, so
+# wrappers installed on their modules (perfbench's tracer) see the calls.
+_RECORDS = (
+    Formula(
+        "PROP1",
+        closed=lambda s1, s2: mn_cartesian(s1, s2),
+        oracle=lambda cap, g1, g2: cartesian(g1, g2, vertex_cap=cap),
+        sample=_factor_pair,
     ),
-    "EX_GRID": (
-        ("m", "n"),
-        lambda m, n: 256 * m * n - 310 * m - 310 * n + 216,
-        lambda m, n: m >= 4 and n >= 4,
+    Formula(
+        "PROP2",
+        closed=lambda *stats: mn_cartesian_nary(stats),
+        oracle=lambda cap, *factors: cartesian_n(factors, vertex_cap=cap),
+        sample=_factor_tuple,
     ),
-    "EX_PRISM": (("n",), lambda n: 162 * n, None),
-    "EX_ROOK": (
-        ("m", "n"),
-        lambda m, n: m * n * (
+    Formula(
+        "PROP3",
+        closed=lambda s1, s2: mn_tensor(s1.mn, s2.mn),
+        oracle=lambda cap, g1, g2: tensor(g1, g2, vertex_cap=cap),
+        sample=_factor_pair,
+    ),
+    Formula(
+        "PROP4_PRINTED",
+        closed=lambda s1, s2: mn_wreath_printed(s1, s2),
+        oracle=lambda cap, g1, g2: wreath(g1, g2, vertex_cap=cap),
+        sample=_factor_pair,
+    ),
+    Formula(
+        "HAMMING",
+        closed=lambda sizes: mn_hamming(sizes),
+        oracle=lambda cap, sizes: families.hamming(sizes, vertex_cap=cap),
+        grid={"sizes": (
+            (2,), (3,), (6,),
+            (2, 2), (2, 3), (2, 4), (3, 3), (4, 5),
+            (2, 2, 2), (2, 2, 3), (2, 3, 4), (3, 3, 3),
+            (2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 4, 5),
+            (2, 2, 2, 2, 2),
+        )},
+    ),
+    Formula(
+        "EX_LADDER",
+        closed=lambda n: 162 * n - 132,
+        oracle=lambda cap, n: families.ladder(n, vertex_cap=cap),
+        grid={"n": range(3, 11)},
+    ),
+    Formula(
+        "EX_NANOTORUS",
+        closed=lambda m, n: 256 * m * n,
+        oracle=lambda cap, m, n: families.nanotorus(m, n, vertex_cap=cap),
+        grid={"m": range(3, 11), "n": range(3, 11)},
+    ),
+    Formula(
+        "EX_NANOTUBE",
+        closed=lambda m, n: 256 * m * n - 374 * m,
+        oracle=lambda cap, m, n: families.nanotube(m, n, vertex_cap=cap),
+        grid={"m": range(3, 11), "n": range(4, 11)},
+        stated=lambda m, n: n >= 4,
+    ),
+    Formula(
+        "EX_GRID",
+        closed=lambda m, n: 256 * m * n - 310 * m - 310 * n + 216,
+        oracle=lambda cap, m, n: families.grid(m, n, vertex_cap=cap),
+        grid={"m": range(4, 11), "n": range(4, 11)},
+        stated=lambda m, n: m >= 4 and n >= 4,
+    ),
+    Formula(
+        "EX_PRISM",
+        closed=lambda n: 162 * n,
+        oracle=lambda cap, n: families.prism(n, vertex_cap=cap),
+        grid={"n": range(3, 13)},
+    ),
+    Formula(
+        "EX_ROOK",
+        closed=lambda m, n: m * n * (
             6 * (m - 1) ** 2 * (n - 1) ** 2
             + (n - 1) ** 4
             + (m - 1) ** 4
             + 4 * (m - 1) * (n - 1) * ((m - 1) ** 2 + (n - 1) ** 2)
         ),
-        None,
+        oracle=lambda cap, m, n: families.rook(m, n, vertex_cap=cap),
+        grid={"m": range(2, 7), "n": range(2, 7)},
     ),
-    "EX_HYPERCUBE": (("m",), lambda m: 2 ** m * m ** 4, None),
-    "EX_TENSOR_PP": (
-        ("n", "m"),
-        lambda n, m: (16 * n - 38) * (16 * m - 38),
-        lambda n, m: n >= 4 and m >= 4,
+    Formula(
+        "EX_HYPERCUBE",
+        closed=lambda m: 2 ** m * m ** 4,
+        oracle=lambda cap, m: families.hypercube(m, vertex_cap=cap),
+        grid={"m": range(1, 7)},
     ),
-    "EX_TENSOR_CC": (("n", "m"), lambda n, m: 256 * m * n, None),
-    "EX_TENSOR_KK": (
-        ("n", "m"),
-        lambda n, m: m * n * (m - 1) ** 4 * (n - 1) ** 4,
-        None,
+    Formula(
+        "EX_TENSOR_PP",
+        closed=lambda n, m: (16 * n - 38) * (16 * m - 38),
+        oracle=_tensor_line(path_graph, path_graph),
+        grid={"n": range(4, 9), "m": range(4, 9)},
+        stated=lambda n, m: n >= 4 and m >= 4,
     ),
-    "EX_TENSOR_PC": (
-        ("n", "m"),
-        lambda n, m: 16 * m * (16 * n - 38),
-        lambda n, m: n >= 4,
+    Formula(
+        "EX_TENSOR_CC",
+        closed=lambda n, m: 256 * m * n,
+        oracle=_tensor_line(cycle_graph, cycle_graph),
+        grid={"n": range(3, 9), "m": range(3, 9)},
     ),
-    "EX_TENSOR_PK": (
-        ("n", "m"),
-        lambda n, m: m * (m - 1) ** 4 * (16 * n - 38),
-        lambda n, m: n >= 4,
+    Formula(
+        "EX_TENSOR_KK",
+        closed=lambda n, m: m * n * (m - 1) ** 4 * (n - 1) ** 4,
+        oracle=_tensor_line(complete_graph, complete_graph),
+        grid={"n": range(3, 9), "m": range(3, 9)},
     ),
-    "EX_TENSOR_CK": (("n", "m"), lambda n, m: 16 * m * n * (m - 1) ** 4, None),
-    "EX_FENCE": (("n",), lambda n: 864 * n - 1694, lambda n: n >= 4),
-    "EX_CLOSED_FENCE": (("n",), lambda n: 816 * n + 2, lambda n: n >= 3),
-}
+    Formula(
+        "EX_TENSOR_PC",
+        closed=lambda n, m: 16 * m * (16 * n - 38),
+        oracle=_tensor_line(path_graph, cycle_graph),
+        grid={"n": range(4, 9), "m": range(3, 9)},
+        stated=lambda n, m: n >= 4,
+    ),
+    Formula(
+        "EX_TENSOR_PK",
+        closed=lambda n, m: m * (m - 1) ** 4 * (16 * n - 38),
+        oracle=_tensor_line(path_graph, complete_graph),
+        grid={"n": range(4, 9), "m": range(3, 9)},
+        stated=lambda n, m: n >= 4,
+    ),
+    Formula(
+        "EX_TENSOR_CK",
+        closed=lambda n, m: 16 * m * n * (m - 1) ** 4,
+        oracle=_tensor_line(cycle_graph, complete_graph),
+        grid={"n": range(3, 9), "m": range(3, 9)},
+    ),
+    Formula(
+        "EX_FENCE",
+        closed=lambda n: 864 * n - 1694,
+        oracle=lambda cap, n: families.fence(n, vertex_cap=cap),
+        grid={"n": range(4, 11)},
+        stated=lambda n: n >= 4,
+    ),
+    Formula(
+        "EX_CLOSED_FENCE",
+        closed=lambda n: 816 * n + 2,
+        oracle=lambda cap, n: families.closed_fence(n, vertex_cap=cap),
+        grid={"n": range(3, 11)},
+        stated=lambda n: n >= 3,
+    ),
+)
 
-#: Formula ids evaluated over a family parameter grid (vs. random factors).
-FAMILY_FORMULA_IDS = tuple(_FAMILY_CLOSED)
+#: The catalog: formula id -> record, in the canonical order.
+CATALOG: dict[str, Formula] = {record.id: record for record in _RECORDS}
+FORMULA_IDS = tuple(CATALOG)
 
 
-def formula_params(formula_id: str) -> tuple[str, ...]:
-    """Parameter names of a family formula."""
-    return _FAMILY_CLOSED[formula_id][0]
+def _grid_record(formula_id: str) -> Formula:
+    record = CATALOG.get(formula_id)
+    if record is None or record.grid is None:
+        grid_ids = [fid for fid, r in CATALOG.items() if r.grid is not None]
+        raise ValueError(f"{formula_id!r} is not a grid formula; expected one of {grid_ids}")
+    return record
 
 
-def in_stated_range(formula_id: str, **params: int) -> bool:
+def in_stated_range(formula_id: str, **params) -> bool:
     """Whether the parameters satisfy the formula's catalogued constraint."""
-    names, _, pred = _FAMILY_CLOSED[formula_id]
-    if pred is None:
-        return True
-    return pred(*(params[name] for name in names))
+    record = _grid_record(formula_id)
+    return record.stated is None or record.stated(*(params[p] for p in record.params))
 
 
-def example_formula(formula_id: str, **params: int) -> int:
-    """Evaluate a catalogued family polynomial verbatim.
+def example_formula(formula_id: str, **params) -> int:
+    """Evaluate a catalogued grid formula verbatim.
 
     Out-of-range parameters are a warning, not an error: evaluation
     proceeds and the verification engine carries the flag in its report.
     """
-    if formula_id not in _FAMILY_CLOSED:
-        raise ValueError(
-            f"{formula_id!r} is not a family formula; expected one of "
-            f"{FAMILY_FORMULA_IDS}"
-        )
-    names, poly, _ = _FAMILY_CLOSED[formula_id]
-    missing = [name for name in names if name not in params]
+    record = _grid_record(formula_id)
+    missing = [p for p in record.params if p not in params]
     if missing:
-        raise ValueError(f"{formula_id} needs parameters {names}, missing {missing}")
-    if not in_stated_range(formula_id, **params):
+        raise ValueError(f"{formula_id} needs parameters {record.params}, missing {missing}")
+    values = {p: params[p] for p in record.params}
+    if not in_stated_range(formula_id, **values):
         warnings.warn(
-            f"{formula_id} evaluated outside its stated parameter range: "
-            f"{ {name: params[name] for name in names} }",
+            f"{formula_id} evaluated outside its stated parameter range: {values}",
             ParamOutOfStatedRangeWarning,
             stacklevel=2,
         )
-    return poly(*(params[name] for name in names))
+    return record.closed(*values.values())

@@ -7,6 +7,7 @@ from nbzagreb import (
     path_graph,
     serialize_edge_list,
 )
+from nbzagreb import cli, families
 from nbzagreb.cli import main
 
 
@@ -132,6 +133,61 @@ class TestCompute:
         )
         assert code == 0 and int(out) >= 0
 
+    def test_path_over_the_vertex_cap_is_data_error(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--family", "path", "--n", "1000001", "--index", "MN"
+        )
+        assert code == 2 and out == ""
+        assert err == "nbzagreb: order 1000001 exceeds vertex cap 1000000\n"
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (("grid", "--m", "2", "--n", "20000000"), "product order 40000000"),
+            (("hypercube", "--m", "64"), "product order >= 2**64"),
+        ],
+    )
+    def test_family_refused_before_any_factor_is_built(
+        self, capsys, monkeypatch, params, message
+    ):
+        def refuse(n):
+            raise AssertionError(f"a factor of order {n} was built")
+
+        monkeypatch.setattr(families, "path_graph", refuse)
+        monkeypatch.setattr(families, "complete_graph", refuse)
+        code, out, err = run(capsys, "compute", "--family", *params, "--index", "MN")
+        assert code == 2 and out == ""
+        assert err == f"nbzagreb: {message} exceeds vertex cap 1000000\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--family", "path", "--n", "5", "--m", "3"), "family 'path' takes no --m"),
+            (("--family", "grid", "--m", "4", "--n", "4", "--sizes", "2"),
+             "family 'grid' takes no --sizes"),
+        ],
+    )
+    def test_parameter_the_family_does_not_take(self, capsys, argv, message):
+        code, out, err = run(capsys, "compute", *argv, "--index", "MN")
+        assert code == 1 and out == ""
+        assert err == f"nbzagreb: error: {message}\n"
+
+    def test_parameter_with_input_file(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("2 1\n0 1\n")
+        code, out, err = run(capsys, "compute", "--input", str(f), "--n", "5", "--index", "MN")
+        assert code == 1 and out == ""
+        assert err == "nbzagreb: error: --input takes no --n\n"
+
+    def test_memory_error_is_data_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_family", exhausted)
+        code, out, err = run(capsys, "compute", "--family", "path", "--n", "3", "--index", "MN")
+        assert code == 2 and out == ""
+        assert err == "nbzagreb: out of memory\n"
+
 
 class TestProduct:
     def test_cartesian_of_files(self, capsys, tmp_path):
@@ -210,6 +266,48 @@ class TestVerify:
         code, out, err = run(capsys, *argv, "--strict")
         assert code == 2 and "EX_GRID: UNVERIFIED" in out
         assert "no point checked in EX_GRID" in err
+
+    def test_ladder_over_the_vertex_cap_is_skipped(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"a factor of order {n} was built")
+
+        monkeypatch.setattr(families, "path_graph", refuse)
+        code, out, _ = run(capsys, "verify", "--formula", "EX_LADDER", "--n", "20000000")
+        assert code == 0 and out == "EX_LADDER: UNVERIFIED (1 points, 1 skipped)\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("EX_LADDER", "--m", "5", "--n", "3"), "EX_LADDER takes no --m"),
+            (("HAMMING", "--sizes", "2,3", "--n", "4"), "HAMMING takes no --n"),
+            (("PROP1", "--seed", "1", "--m", "4"), "PROP1 takes no --m"),
+            (("EX_GRID", "--sizes", "2,3"), "EX_GRID takes no --sizes"),
+        ],
+    )
+    def test_parameter_no_selected_formula_takes(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--formula", *argv)
+        assert code == 1 and out == ""
+        assert err == f"nbzagreb: error: {message}\n"
+
+    def test_parameter_some_selected_formula_takes(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--formula", "all", "--seed", "1", "--trials", "1",
+            "--m", "4..6",
+        )
+        assert code == 0
+        assert "EX_HYPERCUBE: CONSISTENT (3 points)" in out
+        assert "EX_LADDER: ERRATUM (8 points" in out
+
+    def test_memory_error_while_parsing_is_data_error(self, capsys, monkeypatch):
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_parse_int_range", exhausted)
+        code, out, err = run(
+            capsys, "verify", "--formula", "EX_LADDER", "--n", "1..10000000000"
+        )
+        assert code == 2 and out == ""
+        assert err == "nbzagreb: out of memory\n"
 
 
 class TestQspr:

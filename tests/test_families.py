@@ -1,0 +1,78 @@
+import pytest
+
+from nbzagreb import FAMILIES, SizeOverflowError, build_family, families
+
+
+@pytest.fixture
+def no_factor_builds(monkeypatch):
+    """Fail any family that builds a factor before checking its order."""
+
+    def refuse(n):
+        raise AssertionError(f"a factor of order {n} was built")
+
+    for name in ("path_graph", "cycle_graph", "complete_graph"):
+        monkeypatch.setattr(families, name, refuse)
+
+
+class TestOrderCheckedBeforeBuilding:
+    @pytest.mark.parametrize(
+        "name, args, order",
+        [
+            ("ladder", (5,), 12),
+            ("grid", (3, 4), 12),
+            ("grid", (2, 20_000_000), 40_000_000),
+            ("nanotube", (3, 4), 12),
+            ("nanotorus", (3, 4), 12),
+            ("prism", (6,), 12),
+            ("rook", (3, 4), 12),
+            ("hamming", ([3, 4],), 12),
+            ("fence", (6,), 12),
+            ("closed_fence", (6,), 12),
+        ],
+    )
+    def test_product_families(self, no_factor_builds, name, args, order):
+        with pytest.raises(SizeOverflowError) as exc:
+            getattr(families, name)(*args, vertex_cap=10)
+        assert str(exc.value) == f"product order {order} exceeds vertex cap 10"
+
+    def test_empty_factor_does_not_hide_its_partner(self, no_factor_builds):
+        with pytest.raises(SizeOverflowError) as exc:
+            families.grid(0, 10 ** 12, vertex_cap=10)
+        assert str(exc.value) == f"factor order {10 ** 12} exceeds vertex cap 10"
+
+    @pytest.mark.parametrize(
+        "name, arg", [("hypercube", 4), ("hypercube", 64), ("hamming", [2] * 64)]
+    )
+    def test_factor_count_refused_without_the_power(self, no_factor_builds, name, arg):
+        # 10 has bit length 4: four or more factors of order >= 2 are over it
+        with pytest.raises(SizeOverflowError) as exc:
+            getattr(families, name)(arg, vertex_cap=10)
+        count = arg if name == "hypercube" else len(arg)
+        assert str(exc.value) == f"product order >= 2**{count} exceeds vertex cap 10"
+
+    @pytest.mark.parametrize("name", ["path", "cycle", "complete"])
+    def test_elementary_families_take_the_cap(self, no_factor_builds, name):
+        with pytest.raises(SizeOverflowError) as exc:
+            build_family(name, n=11, vertex_cap=10)
+        assert str(exc.value) == "order 11 exceeds vertex cap 10"
+
+    def test_at_the_cap_still_builds(self):
+        assert families.grid(2, 5, vertex_cap=10).order == 10
+        assert families.hypercube(3, vertex_cap=8).order == 8
+        assert build_family("path", n=10, vertex_cap=10).order == 10
+
+
+class TestRegistry:
+    def test_build_family_reads_the_registry(self):
+        for name, (params, builder) in FAMILIES.items():
+            values = {"m": 3, "n": 4, "sizes": [2, 3]}
+            g = build_family(name, **{p: values[p] for p in params})
+            assert g == builder(*(values[p] for p in params), vertex_cap=10 ** 6)
+
+    def test_missing_parameter(self):
+        with pytest.raises(ValueError, match="needs parameter --m"):
+            build_family("grid", n=4)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            build_family("moebius", n=4)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -26,8 +27,16 @@ from nbzagreb import (
     random_graph,
     reports_to_csv,
     verify,
+    verify_all,
     wreath,
 )
+from nbzagreb import formulas
+from nbzagreb.formulas import CATALOG
+from nbzagreb.verification import RANDOM_FORMULA_IDS
+
+#: SHA-256 of ``reports_to_csv(verify_all(seed=42))``; the benchmark's
+#: verify-catalog workload checks the same value.
+VERIFY_CSV_SHA256_SEED42 = "942cb6e06eeaee92a5e078fbff0d101960bf7d0f25c53ebcfd18a5c22a59efe1"
 
 
 def stats(g):
@@ -254,6 +263,44 @@ class TestVerify:
         assert lines[0] == "formula,params,closed,oracle,delta"
         assert lines[1] == "EX_PRISM,n=3,486,486,0"
         assert len(lines) == 3
+
+    def test_skipped_point_evaluates_neither_side(self, monkeypatch):
+        def refuse(sizes):
+            raise AssertionError("closed form evaluated for a skipped point")
+
+        monkeypatch.setattr(formulas, "mn_hamming", refuse)
+        report = verify("HAMMING", sizes=[[2] * 6], vertex_cap=10)
+        (point,) = report.points
+        assert point.skipped and point.closed is None and point.oracle is None
+        assert reports_to_csv([report]).splitlines()[1] == "HAMMING,sizes=2x2x2x2x2x2,,,"
+
+    def test_skipped_trials_evaluate_neither_side(self):
+        report = verify("PROP1", seed=1, trials=5, vertex_cap=0)
+        assert report.skipped_points == 5
+        assert all(p.closed is None for p in report.points)
+
+    def test_seed42_csv_pin(self):
+        text = reports_to_csv(verify_all(seed=42))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFY_CSV_SHA256_SEED42
+
+
+class TestCatalog:
+    def test_one_record_per_id_in_canonical_order(self):
+        assert FORMULA_IDS == tuple(CATALOG) == tuple(r.id for r in CATALOG.values())
+        assert FORMULA_IDS[:5] == ("PROP1", "PROP2", "PROP3", "PROP4_PRINTED", "HAMMING")
+        assert len(FORMULA_IDS) == 20
+
+    def test_each_record_has_a_grid_or_a_sampler(self):
+        for record in CATALOG.values():
+            assert (record.grid is None) != (record.sample is None), record.id
+        assert RANDOM_FORMULA_IDS == ("PROP1", "PROP2", "PROP3", "PROP4_PRINTED")
+        assert all(CATALOG[fid].params == () for fid in RANDOM_FORMULA_IDS)
+        assert CATALOG["HAMMING"].params == ("sizes",)
+        assert CATALOG["EX_TENSOR_PP"].params == ("n", "m")
+
+    def test_hamming_is_a_grid_formula(self):
+        assert example_formula("HAMMING", sizes=[2, 3, 4]) == mn_hamming([2, 3, 4])
+        assert in_stated_range("HAMMING", sizes=[2])
 
 
 class TestKnownErrata:
