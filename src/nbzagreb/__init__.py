@@ -16,7 +16,6 @@ from .graphs import (
     VertexOutOfRangeError,
     complete_graph,
     cycle_graph,
-    distance_matrix,
     empty_graph,
     parse_edge_list,
     path_graph,

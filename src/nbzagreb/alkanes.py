@@ -156,11 +156,15 @@ def _build_tree(parent_len: int, groups) -> Graph:
                 n += 2
             else:
                 n += 1
-    graph = Graph(n, edges)
-    worst = max(range(n), key=graph.degree)
-    if graph.degree(worst) > 4:
+    # trusted: the chain pairs (i, i + 1), each branch's (attach, n) and an
+    # ethyl's (n, n + 1) are distinct, since every branch adds new vertices,
+    # and satisfy u < v < order, since attach < parent_len <= n
+    graph = Graph._from_canonical(n, edges)
+    degrees = graph.degrees()
+    worst = max(range(n), key=degrees.__getitem__)
+    if degrees[worst] > 4:
         raise ValenceExceededError(
-            f"carbon at position {worst + 1} would have {graph.degree(worst)} bonds"
+            f"carbon at position {worst + 1} would have {degrees[worst]} bonds"
         )
     return graph
 

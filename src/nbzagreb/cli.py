@@ -58,10 +58,31 @@ def _format_number(value, precision: int) -> str:
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value)
     if isinstance(value, Fraction):
-        return str(value)
+        if value.denominator == 1:
+            return _decimal(value.numerator)
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     return f"{value:.{precision}g}"
+
+
+#: Digits per ``str`` call in :func:`_decimal`: under 640, the lowest
+#: limit on int-to-string conversion that CPython lets anyone set.
+_DECIMAL_CHUNK = 600
+
+
+def _decimal(value: int) -> str:
+    """``str(value)`` for any length, without changing the interpreter-wide
+    limit on int-to-string conversion: halves are split off by ``divmod``
+    until each fits one ``str`` call."""
+    if value < 0:
+        return "-" + _decimal(-value)
+    if value < 10 ** _DECIMAL_CHUNK:
+        return str(value)
+    # the low half gets about half the digits (log10(2) > 0.3)
+    digits = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10 ** digits)
+    return _decimal(high) + _decimal(low).zfill(digits)
 
 
 def _parse_int_range(text: str) -> list[int]:

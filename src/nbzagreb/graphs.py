@@ -26,7 +26,6 @@ meets it by construction, such as the products in :mod:`.products`.
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Iterable
 
@@ -224,28 +223,6 @@ def complete_graph(n: int) -> Graph:
 def star_graph(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to every other vertex."""
     return Graph(n, [(0, i) for i in range(1, n)])
-
-
-# ---------------------------------------------------------------------------
-# Distances
-
-def distance_matrix(G: Graph) -> list[list[float]]:
-    """All-pairs hop distances by BFS; ``math.inf`` marks unreachable pairs."""
-    n = G.order
-    adj = G.adjacency
-    matrix: list[list[float]] = []
-    for s in range(n):
-        dist: list[float] = [math.inf] * n
-        dist[s] = 0
-        queue = [s]
-        for v in queue:
-            dv = dist[v]
-            for u in adj[v]:
-                if dist[u] == math.inf:
-                    dist[u] = dv + 1
-                    queue.append(u)
-        matrix.append(dist)
-    return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -19,24 +19,77 @@ Integer indices are exact (arbitrary precision), ``HARARY`` is an exact
 rational, and ``CHI`` is the single floating-point index.  Unreachable
 vertex pairs contribute 0 to ``HARARY``, so disconnected graphs are legal
 everywhere.
+
+The six degree indices take one pass over the degrees or the edges.  The
+other two kinds are counted by algorithm and bounded by a budget, a
+module constant; past it they raise :class:`TooLargeError` before
+allocating anything of the refused size.
+
+``Z`` and ``SIGMA`` multiply over connected components (Hosoya 1971;
+Prodinger and Tichy 1982), found by one BFS over ``G.adjacency``:
+
+* A tree component (k vertices, k - 1 edges) goes through a linear DP
+  over its BFS order: per vertex, the count of its subtree with the
+  vertex matched or unmatched (``Z``), or in or out of the set
+  (``SIGMA``).  Time O(k) big-integer operations, no budget.
+* A component with a cycle is relabelled to 0..k-1 in vertex order and
+  counted by the memoised bitmask recursion, branching on its
+  lowest-index vertex: ``Z(G) = Z(G - v) + sum Z(G - v - u)`` over the
+  neighbours u of the lowest v that has one, and
+  ``SIGMA(G) = SIGMA(G - v) + SIGMA(G - N[v])``.  The recursion runs on
+  an explicit stack, so depth costs no interpreter frames.  Its cost is
+  the number of memoised states, which depends on the component's shape
+  and labelling rather than its order.
+
+:data:`COUNTING_STATE_BUDGET` bounds that recursion in 64-bit mask words,
+the unit its memory grows by: the k neighbour masks of a k-vertex
+component cost k * ceil(k / 64) words and are charged before they are
+built, and each memoised state costs ceil(k / 64) more.  At 2**16 words a
+refusal comes within a few seconds and some tens of MB.  For a graph
+whose order alone could exceed the budget, a union-find pass over the
+edges looks for a cycle in an over-budget component before the adjacency
+is built, so a large cyclic graph is refused at O(order) memory.
+
+``HARARY`` runs one BFS per source vertex into a histogram of ordered
+pairs per distance, then builds one ``Fraction`` over the least common
+multiple of the distances.  Time O(order * (order + size)), memory
+O(order).  :data:`HARARY_WORK_BUDGET` bounds that product and is checked
+before the adjacency is read or any BFS runs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, distance_matrix
+from .graphs import Graph
 
 INDEX_IDS = ("M1", "M2", "MN", "F", "Z", "SIGMA", "CHI", "HARARY")
 
-#: Order guard for the exponential-time counting indices Z and SIGMA.
+#: The order above which Z and SIGMA used to be refused outright.  No
+#: library code reads it any more; :data:`COUNTING_STATE_BUDGET` replaced it.
 COUNTING_ORDER_LIMIT = 32
+
+#: Budget of the Z and SIGMA bitmask recursion on a component with a
+#: cycle, in 64-bit mask words (see the module docstring).
+COUNTING_STATE_BUDGET = 1 << 16
+
+#: Budget of HARARY in BFS steps, counted as order * (order + size).
+HARARY_WORK_BUDGET = 5 * 10 ** 7
 
 
 class TooLargeError(ValueError):
-    """A counting index was requested for a graph above the order guard."""
+    """A counting or distance index would exceed its budget.
+
+    ``Z`` and ``SIGMA`` raise it when the bitmask recursion on a component
+    with a cycle would need more than :data:`COUNTING_STATE_BUDGET` mask
+    words, for its neighbour masks or its memoised states; tree components
+    never raise it.  ``HARARY`` raises it when order * (order + size)
+    exceeds :data:`HARARY_WORK_BUDGET`, before any BFS runs.  The message
+    names the budget that was hit.
+    """
 
 
 @dataclass(frozen=True)
@@ -72,91 +125,244 @@ def randic(G: Graph) -> float:
 
 def harary(G: Graph) -> Fraction:
     """Sum of reciprocal distances over unordered reachable pairs, exact."""
-    dist = distance_matrix(G)
-    total = Fraction(0)
-    for u in range(G.order):
-        row = dist[u]
-        for v in range(u + 1, G.order):
-            if row[v] != math.inf:
-                total += Fraction(1, int(row[v]))
-    return total
-
-
-def _check_counting_guard(G: Graph) -> None:
-    if G.order > COUNTING_ORDER_LIMIT:
+    work = G.order * (G.order + G.size)
+    if work > HARARY_WORK_BUDGET:
         raise TooLargeError(
-            f"order {G.order} exceeds the counting guard of {COUNTING_ORDER_LIMIT}"
+            f"HARARY needs {work} BFS steps (order x (order + size)), "
+            f"over the budget of {HARARY_WORK_BUDGET}"
         )
+    hist = _distance_histogram(G)
+    common = math.lcm(*range(1, len(hist)))
+    # every unordered pair is counted once from each end
+    total = sum(count * (common // d) for d, count in enumerate(hist) if d)
+    return Fraction(total, 2 * common)
 
 
-def _adjacency_masks(G: Graph) -> list[int]:
-    """Per-vertex neighbour sets as bitmasks over the vertex ids."""
-    masks = [0] * G.order
-    for u, v in G.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+def _distance_histogram(G: Graph) -> list[int]:
+    """``hist[d]``: ordered vertex pairs at distance d >= 1; ``hist[0]`` is 0."""
+    adj = G.adjacency
+    hist = [0]
+    seen = [-1] * G.order  # seen[v] == s: v reached from source s
+    for s in range(G.order):
+        seen[s] = s
+        frontier = [s]
+        d = 0
+        while True:
+            layer = []
+            for v in frontier:
+                for u in adj[v]:
+                    if seen[u] != s:
+                        seen[u] = s
+                        layer.append(u)
+            if not layer:
+                break
+            d += 1
+            if d == len(hist):
+                hist.append(0)
+            hist[d] += len(layer)
+            frontier = layer
+    return hist
 
 
 def hosoya(G: Graph) -> int:
     """Number of matchings, including the empty matching.
 
-    Vertex-elimination recursion: fix a vertex v, then every matching
-    either leaves v unmatched or pairs it with one neighbour.  Memoized
-    on the bitmask of surviving vertices.
+    Multiplies over components; see the module docstring for the tree DP,
+    the bitmask recursion and :data:`COUNTING_STATE_BUDGET`.
     """
-    _check_counting_guard(G)
-    adj_masks = _adjacency_masks(G)
-    memo: dict[int, int] = {}
-
-    def count(mask: int) -> int:
-        # find a vertex in `mask` with at least one surviving neighbour
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            if adj_masks[v] & mask:
-                break
-            rest &= rest - 1
-        else:
-            return 1  # no surviving edges: only the empty matching
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        without_v = mask & ~(1 << v)
-        total = count(without_v)
-        nbrs = adj_masks[v] & mask
-        while nbrs:
-            u_bit = nbrs & -nbrs
-            total += count(without_v & ~u_bit)
-            nbrs &= nbrs - 1
-        memo[mask] = total
-        return total
-
-    return count((1 << G.order) - 1)
+    parent, components = _components(G, "Z")
+    free = [1] * G.order  # matchings of v's subtree that leave v unmatched
+    matched = [0] * G.order  # ... and those that match v
+    total = 1
+    for order, cyclic in components:
+        if cyclic:
+            total *= _count_cyclic(G, order, "Z")
+            continue
+        for c in order[:0:-1]:
+            p = parent[c]
+            t = free[c] + matched[c]
+            matched[p] = matched[p] * t + free[p] * free[c]
+            free[p] *= t
+            # a folded subtree's counts are dropped: holding every
+            # vertex's count would take memory quadratic in a long path
+            free[c] = matched[c] = 0
+        total *= free[order[0]] + matched[order[0]]
+    return total
 
 
 def merrifield_simmons(G: Graph) -> int:
     """Number of independent vertex sets, including the empty set.
 
-    Vertex-elimination recursion: a set either omits v, or contains v and
-    omits the whole closed neighbourhood of v.
+    Multiplies over components; see the module docstring for the tree DP,
+    the bitmask recursion and :data:`COUNTING_STATE_BUDGET`.
     """
-    _check_counting_guard(G)
-    adj_masks = _adjacency_masks(G)
+    parent, components = _components(G, "SIGMA")
+    inside = [1] * G.order  # independent sets of v's subtree that hold v
+    outside = [1] * G.order  # ... and those that do not
+    total = 1
+    for order, cyclic in components:
+        if cyclic:
+            total *= _count_cyclic(G, order, "SIGMA")
+            continue
+        for c in order[:0:-1]:
+            p = parent[c]
+            inside[p] *= outside[c]
+            outside[p] *= inside[c] + outside[c]
+            inside[c] = outside[c] = 0  # dropped, as in hosoya
+        total *= inside[order[0]] + outside[order[0]]
+    return total
+
+
+def _mask_words(k: int) -> int:
+    """64-bit words in one mask over k vertices."""
+    return -(-k // 64)
+
+
+def _over_budget(index_id: str, k: int) -> TooLargeError:
+    return TooLargeError(
+        f"{index_id} exceeds the counting budget of {COUNTING_STATE_BUDGET} "
+        f"mask words on a component with a cycle and at least {k} vertices"
+    )
+
+
+def _components(G: Graph, index_id: str):
+    """BFS forest of ``G``: ``(parent, [(bfs order, has a cycle), ...])``.
+
+    A root is its own parent.  Runs the union-find pre-check first when
+    ``G`` is large enough for one component's masks to exceed the budget.
+    """
+    n = G.order
+    if n * _mask_words(n) > COUNTING_STATE_BUDGET:
+        _refuse_large_cycles(G, index_id)
+    adj = G.adjacency
+    deg = G.degrees()
+    parent: list[int | None] = [None] * n
+    components = []
+    for s in range(n):
+        if parent[s] is not None:
+            continue
+        parent[s] = s
+        order = [s]
+        for v in order:
+            for u in adj[v]:
+                if parent[u] is None:
+                    parent[u] = v
+                    order.append(u)
+        # a component is a tree iff its degrees sum to 2 (k - 1)
+        components.append((order, sum(map(deg.__getitem__, order)) > 2 * len(order) - 2))
+    return parent, components
+
+
+def _refuse_large_cycles(G: Graph, index_id: str) -> None:
+    """Raise if a component with a cycle outgrows the budget's masks.
+
+    Union-find over the edges alone, in flat arrays, so that a large graph
+    is refused before its adjacency is built.  A merged component only
+    grows, so the first one over the budget is refused at once.
+    """
+    root = array("q", range(G.order))
+    size = array("q", [1]) * G.order
+    cyclic = bytearray(G.order)
+    for u, v in G.edges:
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            cyclic[u] = 1
+        else:
+            if size[u] < size[v]:
+                u, v = v, u
+            root[v] = u
+            size[u] += size[v]
+            cyclic[u] |= cyclic[v]
+        k = size[u]
+        if cyclic[u] and k * _mask_words(k) > COUNTING_STATE_BUDGET:
+            raise _over_budget(index_id, k)
+
+
+def _count_cyclic(G: Graph, vertices: list[int], index_id: str) -> int:
+    """Z or SIGMA of one component by the memoised bitmask recursion.
+
+    The component is relabelled to 0..k-1 in vertex order.  Frames on the
+    explicit stack are ``[mask, child masks, next child, partial sum]``; a
+    mask whose split is ``None`` counts 1 and is not memoised.
+    """
+    k = len(vertices)
+    words = _mask_words(k)
+    spent = k * words
+    if spent > COUNTING_STATE_BUDGET:
+        raise _over_budget(index_id, k)
+    vertices = sorted(vertices)
+    label = {v: i for i, v in enumerate(vertices)}
+    adj = G.adjacency
+    masks = []
+    for v in vertices:
+        mask = 0
+        for u in adj[v]:
+            mask |= 1 << label[u]
+        masks.append(mask)
+    split = _matching_split if index_id == "Z" else _independent_split
+
+    # a component with a cycle has an edge, so the root always splits
+    root = (1 << k) - 1
     memo: dict[int, int] = {}
+    stack = [[root, split(root, masks), 0, 0]]
+    while stack:
+        frame = stack[-1]
+        mask, kids, i, total = frame
+        while i < len(kids):
+            child = kids[i]
+            value = memo.get(child)
+            if value is None:
+                grandkids = split(child, masks)
+                if grandkids is not None:
+                    break
+                value = 1
+            total += value
+            i += 1
+        else:
+            spent += words
+            if spent > COUNTING_STATE_BUDGET:
+                raise _over_budget(index_id, k)
+            memo[mask] = total
+            stack.pop()
+            continue
+        frame[2] = i
+        frame[3] = total
+        stack.append([child, grandkids, 0, 0])
+    return memo[root]
 
-    def count(mask: int) -> int:
-        if mask == 0:
-            return 1
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v = (mask & -mask).bit_length() - 1
-        total = count(mask & ~(1 << v)) + count(mask & ~(1 << v) & ~adj_masks[v])
-        memo[mask] = total
-        return total
 
-    return count((1 << G.order) - 1)
+def _matching_split(mask: int, masks: list[int]) -> list[int] | None:
+    """Child masks of Z's recursion, or ``None`` if no edge survives in ``mask``.
+
+    Lower vertices with no surviving neighbour are dropped from the
+    children: they match nothing.
+    """
+    rest = mask
+    while rest:
+        low = rest & -rest
+        nbrs = masks[low.bit_length() - 1] & mask
+        if nbrs:
+            without = rest ^ low
+            kids = [without]
+            while nbrs:
+                u = nbrs & -nbrs
+                kids.append(without ^ u)
+                nbrs ^= u
+            return kids
+        rest ^= low
+    return None
+
+
+def _independent_split(mask: int, masks: list[int]) -> tuple[int, int] | None:
+    """Child masks of SIGMA's recursion, or ``None`` for the empty mask."""
+    if not mask:
+        return None
+    low = mask & -mask
+    without = mask ^ low
+    return without, without & ~masks[low.bit_length() - 1]
 
 
 _DISPATCH = {

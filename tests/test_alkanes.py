@@ -2,6 +2,7 @@ import pytest
 
 from nbzagreb import (
     AlkaneSyntaxError,
+    Graph,
     LocantOutOfRangeError,
     MISSING_ISOMER_NAME,
     MultiplierMismatchError,
@@ -96,6 +97,24 @@ class TestParser:
     def test_valence_exceeded(self):
         with pytest.raises(ValenceExceededError):
             parse_alkane_name("2,2,2-trimethyl butane")
+
+    def test_valence_message_names_the_first_worst_carbon(self):
+        # carbons 2 and 3 both get five bonds; the message names the first
+        with pytest.raises(
+            ValenceExceededError, match=r"^carbon at position 2 would have 5 bonds$"
+        ):
+            parse_alkane_name("2,2,2-trimethyl-3,3,3-trimethyl hexane")
+
+    @pytest.mark.parametrize("name", [rec.name for rec in octane_isomers_all()])
+    def test_trusted_build_equals_validated_graph(self, name):
+        # every spelling of the 18 octanes: as tabulated, space-free, capitalised
+        for spelling in (name, name.replace(" ", ""), name.upper(), name.title()):
+            g = parse_alkane_name(spelling)
+            validated = Graph(g.order, g.edges)
+            assert g == validated
+            assert g.edges == validated.edges
+            assert g.degrees() == validated.degrees()
+            assert g.adjacency == validated.adjacency
 
     def test_every_parent_supported(self):
         for name, order in [

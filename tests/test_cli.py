@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from nbzagreb import (
@@ -87,13 +89,25 @@ class TestCompute:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (
-                ("--family", "path", "--n", "40", "--index", "Z"),
-                "order 40 exceeds the counting guard of 32",
+            pytest.param(
+                ("--family", "complete", "--n", "40", "--index", "Z"),
+                "Z exceeds the counting budget of 65536 mask words "
+                "on a component with a cycle and at least 40 vertices",
+                id="complete-40-Z-budget",
             ),
             (
                 ("--family", "grid", "--m", "1001", "--n", "1000", "--index", "MN"),
                 "product order 1001000 exceeds vertex cap 1000000",
+            ),
+            (
+                ("--family", "grid", "--m", "100", "--n", "100", "--index", "HARARY"),
+                "HARARY needs 298000000 BFS steps (order x (order + size)), "
+                "over the budget of 50000000",
+            ),
+            (
+                ("--family", "ladder", "--n", "2000", "--index", "Z"),
+                "Z exceeds the counting budget of 65536 mask words "
+                "on a component with a cycle and at least 4002 vertices",
             ),
         ],
     )
@@ -101,6 +115,32 @@ class TestCompute:
         code, out, err = run(capsys, "compute", *argv)
         assert code == 2 and out == ""
         assert err == f"nbzagreb: {message}\n"
+
+    @pytest.mark.parametrize(
+        "family, n, index, value",
+        [("path", "40", "Z", "165580141"), ("complete", "40", "SIGMA", "41")],
+    )
+    def test_counting_above_the_old_order_guard(self, capsys, family, n, index, value):
+        code, out, _ = run(capsys, "compute", "--family", family, "--n", n, "--index", index)
+        assert code == 0 and out == value + "\n"
+
+    def test_values_longer_than_the_int_string_limit(self, capsys):
+        # the limit exists from CPython 3.10.7 and 3.11 on
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "compute", "--family", "path", "--n", "30000", "--index", "Z")
+        assert code == 0 and err == ""
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        digits = out.rstrip("\n")
+        assert len(digits) == 6270 and digits.isdigit()
+        # Z(P_30000) = F(30001), read back in chunks under any limit
+        value = 0
+        for i in range(0, len(digits), 500):
+            chunk = digits[i:i + 500]
+            value = value * 10 ** len(chunk) + int(chunk)
+        a, b = 0, 1
+        for _ in range(30001):
+            a, b = b, a + b
+        assert value == a
 
     def test_header_order_above_cap_is_data_error(self, capsys, tmp_path):
         f = tmp_path / "huge.txt"

@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 import random
 
@@ -18,7 +17,6 @@ from nbzagreb import (
     VertexOutOfRangeError,
     complete_graph,
     cycle_graph,
-    distance_matrix,
     empty_graph,
     first_zagreb,
     forgotten,
@@ -33,7 +31,7 @@ from nbzagreb import (
     star_graph,
 )
 
-from oracle_helpers import adjacency_from_edges, floyd_warshall
+from oracle_helpers import adjacency_from_edges
 
 
 @st.composite
@@ -252,27 +250,6 @@ class TestDegreeInvariants:
         for d, s in zip(g.degrees(), g.neighbor_degree_sums()):
             assert s <= d * (g.order - 1)
             assert (s == 0) == (d == 0)
-
-
-class TestDistanceMatrix:
-    def test_path(self):
-        assert distance_matrix(path_graph(3)) == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-
-    def test_disconnected_pair_unreachable(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        d = distance_matrix(g)
-        assert d[0][2] == math.inf and d[1][3] == math.inf
-
-    def test_cycle_diameter(self):
-        d = distance_matrix(cycle_graph(4))
-        assert max(max(row) for row in d) == 2
-
-    def test_against_floyd_warshall(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            g = random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng.randrange(10 ** 6))
-            assert distance_matrix(g) == floyd_warshall(g.order, g.edges)
 
 
 class TestEdgeListFormat:

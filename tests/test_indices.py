@@ -1,9 +1,11 @@
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nbzagreb import (
@@ -26,8 +28,9 @@ from nbzagreb import (
     second_zagreb,
     star_graph,
 )
+from nbzagreb import indices
 
-from oracle_helpers import count_independent_sets, count_matchings
+from oracle_helpers import count_independent_sets, count_matchings, floyd_warshall
 
 from test_graphs import graphs
 
@@ -95,6 +98,41 @@ class TestClassicDegreeIndices:
         assert total == 2 * second_zagreb(g)
 
 
+def _harary_oracle(g):
+    """Harary index from Floyd-Warshall distances."""
+    dist = floyd_warshall(g.order, g.edges)
+    return sum(
+        (Fraction(1, int(dist[u][v]))
+         for u in range(g.order) for v in range(u + 1, g.order)
+         if dist[u][v] != math.inf),
+        Fraction(0),
+    )
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@st.composite
+def sparse_graphs(draw, max_order=9, max_size=12):
+    """Any graph with few enough edges for ``count_matchings``: forests,
+    disconnected and edgeless graphs and order 1 included."""
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=max_size, unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
 class TestCountingIndices:
     def test_p4_matchings(self):
         assert hosoya(path_graph(4)) == 5
@@ -105,12 +143,6 @@ class TestCountingIndices:
     def test_k1_conventions(self):
         assert hosoya(empty_graph(1)) == 1
         assert merrifield_simmons(empty_graph(1)) == 2
-
-    def test_order_guard(self):
-        with pytest.raises(TooLargeError):
-            hosoya(empty_graph(33))
-        with pytest.raises(TooLargeError):
-            merrifield_simmons(empty_graph(33))
 
     def test_against_subset_enumeration(self):
         rng = random.Random(5)
@@ -127,6 +159,121 @@ class TestCountingIndices:
             assert hosoya(g) == count_matchings(g.order, g.edges)
             assert merrifield_simmons(g) == count_independent_sets(g.order, g.edges)
 
+    @given(sparse_graphs())
+    @example(empty_graph(1))
+    @example(empty_graph(7))
+    @example(Graph(9, [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]))  # a forest
+    @example(Graph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)]))
+    @example(Graph(8, [(0, 7), (7, 1), (1, 6), (6, 0), (2, 5), (3, 4)]))  # labels interleaved
+    def test_hypothesis_against_subset_enumeration(self, g):
+        assert hosoya(g) == count_matchings(g.order, g.edges)
+        assert merrifield_simmons(g) == count_independent_sets(g.order, g.edges)
+
+    def test_path_closed_forms(self):
+        for n in range(1, 301):
+            g = path_graph(n)
+            assert hosoya(g) == _fibonacci(n + 1)
+            assert merrifield_simmons(g) == _fibonacci(n + 2)
+
+    def test_cycle_closed_forms(self):
+        for n in range(3, 301):
+            g = cycle_graph(n)
+            assert hosoya(g) == merrifield_simmons(g) == _lucas(n)
+
+    def test_products_over_components(self):
+        # C_5 + P_4 + K_1, in interleaved labels
+        g = Graph(10, [(0, 2), (2, 4), (4, 6), (6, 8), (0, 8), (1, 3), (3, 5), (5, 7)])
+        assert hosoya(g) == _lucas(5) * _fibonacci(5)
+        assert merrifield_simmons(g) == _lucas(5) * _fibonacci(6) * 2
+
+    @pytest.mark.parametrize("count", [hosoya, merrifield_simmons])
+    def test_long_path_in_linear_memory(self, count):
+        # holding every vertex's count would take about 10 MB here
+        g = path_graph(10000)
+        g.adjacency
+        tracemalloc.start()
+        try:
+            count(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10 ** 6
+
+    def test_long_cycle_without_recursion(self, monkeypatch):
+        # the recursion is deeper than the interpreter's frame limit
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 1 << 24)
+        n = 3000
+        assert n > sys.getrecursionlimit()
+        assert hosoya(cycle_graph(n)) == _lucas(n)
+        assert merrifield_simmons(cycle_graph(n)) == _lucas(n)
+
+
+class TestCountingBudget:
+    @pytest.mark.parametrize("count", [hosoya, merrifield_simmons])
+    def test_trees_never_refused(self, monkeypatch, count):
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 0)
+        assert count(path_graph(200)) == (
+            _fibonacci(201) if count is hosoya else _fibonacci(202)
+        )
+        assert count(Graph(5, [(0, 1), (2, 3)])) > 1
+
+    def test_order_above_the_old_guard_answered(self):
+        n = indices.COUNTING_ORDER_LIMIT + 8
+        assert hosoya(path_graph(n)) == 165580141
+        assert merrifield_simmons(complete_graph(n)) == n + 1
+        assert hosoya(cycle_graph(n)) == _lucas(n)
+
+    def test_states_refused(self, monkeypatch):
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 100)
+        with pytest.raises(TooLargeError) as exc:
+            hosoya(complete_graph(12))
+        assert str(exc.value) == (
+            "Z exceeds the counting budget of 100 mask words "
+            "on a component with a cycle and at least 12 vertices"
+        )
+        assert isinstance(exc.value, ValueError)
+        # answered under the real budget: Z(K_12) is the involution number
+        monkeypatch.undo()
+        assert hosoya(complete_graph(12)) == 140152
+
+    @pytest.mark.parametrize("count, index_id", [(hosoya, "Z"), (merrifield_simmons, "SIGMA")])
+    def test_masks_refused_before_they_exist(self, monkeypatch, count, index_id):
+        # 130 vertices in a cycle need 130 * 3 mask words; the forest
+        # beside it is not charged
+        g = Graph(140, [(i, i + 1) for i in range(129)] + [(0, 129)]
+                  + [(130 + i, 131 + i) for i in range(9)])
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 130 * 3 - 1)
+
+        def never(*args):
+            raise AssertionError("recursion started")
+
+        monkeypatch.setattr(indices, "_matching_split", never)
+        monkeypatch.setattr(indices, "_independent_split", never)
+        with pytest.raises(TooLargeError, match=f"^{index_id} exceeds .* 130 vertices$"):
+            count(g)
+
+    def test_large_cyclic_graph_refused_before_adjacency(self, monkeypatch):
+        # the order alone exceeds the budget, so the edges are checked first
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 50)
+        g = cycle_graph(60)
+        with pytest.raises(TooLargeError, match="at least 60 vertices$"):
+            hosoya(g)
+        assert g._adj is None
+        # a triangle with a long tail: refused once the tail reaches 51
+        # vertices, before the rest of the edges are read
+        g = Graph(60, [(0, 1), (0, 2), (1, 2)] + [(i, i + 1) for i in range(2, 59)])
+        with pytest.raises(TooLargeError, match="at least 51 vertices$"):
+            merrifield_simmons(g)
+        assert g._adj is None
+
+    def test_large_forest_with_small_cycles_answered(self, monkeypatch):
+        # order 60 passes the edge check: every cycle sits in a triangle
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 50)
+        edges = [(i, i + 1) for i in range(50)] + [(51, 52), (52, 53), (51, 53)]
+        g = Graph(60, edges)
+        assert merrifield_simmons(g) == _fibonacci(53) * 4 * 2 ** 6
+        assert hosoya(g) == _fibonacci(52) * 4
+
 
 class TestHarary:
     def test_p3(self):
@@ -138,6 +285,58 @@ class TestHarary:
 
     def test_disconnected_pairs_contribute_zero(self):
         assert harary(Graph(4, [(0, 1), (2, 3)])) == 2
+
+    def test_k1_and_edgeless(self):
+        assert harary(empty_graph(1)) == 0
+        assert harary(empty_graph(5)) == 0
+
+    def test_path_against_floyd_warshall(self):
+        g = path_graph(3)
+        assert harary(g) == _harary_oracle(g) == 1 + 1 + Fraction(1, 2)
+
+    def test_unreachable_pairs_against_floyd_warshall(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert harary(g) == _harary_oracle(g) == 2
+
+    def test_cycle_diameter_against_floyd_warshall(self):
+        # C_4: four pairs at distance 1, two at the diameter 2
+        g = cycle_graph(4)
+        assert harary(g) == _harary_oracle(g) == 4 + 2 * Fraction(1, 2)
+
+    def test_against_floyd_warshall(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            g = random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng.randrange(10 ** 6))
+            assert harary(g) == _harary_oracle(g)
+
+    @given(graphs(max_order=12))
+    def test_hypothesis_against_floyd_warshall(self, g):
+        assert harary(g) == _harary_oracle(g)
+
+    def test_path_closed_form(self):
+        n = 250
+        expected = sum((Fraction(n - d, d) for d in range(1, n)), Fraction(0))
+        assert harary(path_graph(n)) == expected
+
+    def test_refused_before_any_bfs(self, monkeypatch):
+        g = cycle_graph(10)
+        monkeypatch.setattr(indices, "HARARY_WORK_BUDGET", 10 * 20 - 1)
+
+        def never(G):
+            raise AssertionError("a BFS ran")
+
+        monkeypatch.setattr(indices, "_distance_histogram", never)
+        with pytest.raises(TooLargeError) as exc:
+            harary(g)
+        assert str(exc.value) == (
+            "HARARY needs 200 BFS steps (order x (order + size)), over the budget of 199"
+        )
+        assert g._adj is None
+
+    def test_at_the_budget_answered(self, monkeypatch):
+        monkeypatch.setattr(indices, "HARARY_WORK_BUDGET", 10 * 20)
+        assert harary(cycle_graph(10)) == _harary_oracle(cycle_graph(10))
 
 
 class TestComputeIndex:
