@@ -19,7 +19,7 @@ from nbzagreb import (
 def show(label, graph):
     print(f"{label}  ({graph.order} vertices, {graph.size} edges)")
     for index_id in INDEX_IDS:
-        value = compute_index(graph, index_id).value
+        value = compute_index(graph, index_id)
         print(f"    {index_id:7s} = {value}")
     print()
 

@@ -13,6 +13,7 @@ from .graphs import (
     Graph,
     GraphError,
     LoopEdgeError,
+    SizeOverflowError,
     VertexOutOfRangeError,
     complete_graph,
     cycle_graph,
@@ -25,7 +26,6 @@ from .graphs import (
 )
 from .indices import (
     INDEX_IDS,
-    IndexValue,
     TooLargeError,
     compute_index,
     first_zagreb,
@@ -38,9 +38,7 @@ from .indices import (
     second_zagreb,
 )
 from .products import (
-    DEFAULT_VERTEX_CAP,
     ProductKind,
-    SizeOverflowError,
     cartesian,
     cartesian_n,
     delta_law_check,

@@ -55,8 +55,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_number(value, precision: int) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return _decimal(value)
     if isinstance(value, Fraction):
@@ -196,7 +194,7 @@ def _cmd_compute(parser, args) -> int:
         graph = build_family(args.family, **{p: getattr(args, p) for p in names})
     else:
         graph = _load_graph(args.input)
-    value = compute_index(graph, args.index).value
+    value = compute_index(graph, args.index)
     print(_format_number(value, args.precision))
     return EXIT_OK
 

@@ -217,9 +217,9 @@ def _factor_tuple(rng: random.Random):
 def _tensor_line(left: Callable[[int], Graph], right: Callable[[int], Graph]):
     """Oracle of the tensor line ``left(n) x right(m)``, capped before either is built."""
 
-    def build(cap: int, n: int, m: int) -> Graph:
-        _check_order(cap, n, m)
-        return tensor(left(n), right(m), vertex_cap=cap)
+    def build(n: int, m: int) -> Graph:
+        _check_order(n, m)
+        return tensor(left(n), right(m))
 
     return build
 
@@ -236,8 +236,10 @@ class Formula:
     default values.  A random-trial rule has ``sample`` instead, which
     draws one factor tuple and its CSV labels from a seeded
     ``random.Random``; its ``closed`` takes the factors' :class:`GraphStats`.
-    ``oracle(vertex_cap, *args)`` builds the graph the closed form
-    describes, from the parameter values or the factors.  ``stated`` is
+    ``oracle(*args)`` builds the graph the closed form describes, from the
+    parameter values or the factors, under the caps of
+    :mod:`nbzagreb.graphs`; over a cap it raises
+    :class:`~nbzagreb.graphs.SizeOverflowError`.  ``stated`` is
     the catalogued parameter range, ``None`` when unconstrained.
     """
 
@@ -260,31 +262,31 @@ _RECORDS = (
     Formula(
         "PROP1",
         closed=lambda s1, s2: mn_cartesian(s1, s2),
-        oracle=lambda cap, g1, g2: cartesian(g1, g2, vertex_cap=cap),
+        oracle=lambda g1, g2: cartesian(g1, g2),
         sample=_factor_pair,
     ),
     Formula(
         "PROP2",
         closed=lambda *stats: mn_cartesian_nary(stats),
-        oracle=lambda cap, *factors: cartesian_n(factors, vertex_cap=cap),
+        oracle=lambda *factors: cartesian_n(factors),
         sample=_factor_tuple,
     ),
     Formula(
         "PROP3",
         closed=lambda s1, s2: mn_tensor(s1.mn, s2.mn),
-        oracle=lambda cap, g1, g2: tensor(g1, g2, vertex_cap=cap),
+        oracle=lambda g1, g2: tensor(g1, g2),
         sample=_factor_pair,
     ),
     Formula(
         "PROP4_PRINTED",
         closed=lambda s1, s2: mn_wreath_printed(s1, s2),
-        oracle=lambda cap, g1, g2: wreath(g1, g2, vertex_cap=cap),
+        oracle=lambda g1, g2: wreath(g1, g2),
         sample=_factor_pair,
     ),
     Formula(
         "HAMMING",
         closed=lambda sizes: mn_hamming(sizes),
-        oracle=lambda cap, sizes: families.hamming(sizes, vertex_cap=cap),
+        oracle=lambda sizes: families.hamming(sizes),
         grid={"sizes": (
             (2,), (3,), (6,),
             (2, 2), (2, 3), (2, 4), (3, 3), (4, 5),
@@ -296,33 +298,33 @@ _RECORDS = (
     Formula(
         "EX_LADDER",
         closed=lambda n: 162 * n - 132,
-        oracle=lambda cap, n: families.ladder(n, vertex_cap=cap),
+        oracle=lambda n: families.ladder(n),
         grid={"n": range(3, 11)},
     ),
     Formula(
         "EX_NANOTORUS",
         closed=lambda m, n: 256 * m * n,
-        oracle=lambda cap, m, n: families.nanotorus(m, n, vertex_cap=cap),
+        oracle=lambda m, n: families.nanotorus(m, n),
         grid={"m": range(3, 11), "n": range(3, 11)},
     ),
     Formula(
         "EX_NANOTUBE",
         closed=lambda m, n: 256 * m * n - 374 * m,
-        oracle=lambda cap, m, n: families.nanotube(m, n, vertex_cap=cap),
+        oracle=lambda m, n: families.nanotube(m, n),
         grid={"m": range(3, 11), "n": range(4, 11)},
         stated=lambda m, n: n >= 4,
     ),
     Formula(
         "EX_GRID",
         closed=lambda m, n: 256 * m * n - 310 * m - 310 * n + 216,
-        oracle=lambda cap, m, n: families.grid(m, n, vertex_cap=cap),
+        oracle=lambda m, n: families.grid(m, n),
         grid={"m": range(4, 11), "n": range(4, 11)},
         stated=lambda m, n: m >= 4 and n >= 4,
     ),
     Formula(
         "EX_PRISM",
         closed=lambda n: 162 * n,
-        oracle=lambda cap, n: families.prism(n, vertex_cap=cap),
+        oracle=lambda n: families.prism(n),
         grid={"n": range(3, 13)},
     ),
     Formula(
@@ -333,13 +335,13 @@ _RECORDS = (
             + (m - 1) ** 4
             + 4 * (m - 1) * (n - 1) * ((m - 1) ** 2 + (n - 1) ** 2)
         ),
-        oracle=lambda cap, m, n: families.rook(m, n, vertex_cap=cap),
+        oracle=lambda m, n: families.rook(m, n),
         grid={"m": range(2, 7), "n": range(2, 7)},
     ),
     Formula(
         "EX_HYPERCUBE",
         closed=lambda m: 2 ** m * m ** 4,
-        oracle=lambda cap, m: families.hypercube(m, vertex_cap=cap),
+        oracle=lambda m: families.hypercube(m),
         grid={"m": range(1, 7)},
     ),
     Formula(
@@ -384,14 +386,14 @@ _RECORDS = (
     Formula(
         "EX_FENCE",
         closed=lambda n: 864 * n - 1694,
-        oracle=lambda cap, n: families.fence(n, vertex_cap=cap),
+        oracle=lambda n: families.fence(n),
         grid={"n": range(4, 11)},
         stated=lambda n: n >= 4,
     ),
     Formula(
         "EX_CLOSED_FENCE",
         closed=lambda n: 816 * n + 2,
-        oracle=lambda cap, n: families.closed_fence(n, vertex_cap=cap),
+        oracle=lambda n: families.closed_fence(n),
         grid={"n": range(3, 11)},
         stated=lambda n: n >= 3,
     ),

@@ -29,9 +29,33 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 
-#: Default cap on graph order for products and parsed edge-list headers;
-#: wreath products blow up as |V2|^2 * |E1|.
+#: Cap on graph order for the families, the products and parsed edge-list
+#: headers; wreath products blow up as |V2|^2 * |E1|.
 DEFAULT_VERTEX_CAP = 10 ** 6
+
+#: Cap on the edge count of complete graphs and products, worked out from
+#: their parameters before any pair is built.
+DEFAULT_EDGE_CAP = 10 ** 7
+
+
+class SizeOverflowError(ValueError):
+    """A graph would exceed the vertex cap or the edge cap."""
+
+
+def _check_cap(subject: str, count: int, *, edges: bool = False, shown=None) -> None:
+    """Raise :class:`SizeOverflowError` if ``count`` vertices (with
+    ``edges``, edges) exceed their cap; the message names ``shown``, if
+    given, in place of ``count``.
+
+    The caps are read at call time, here and in :func:`parse_edge_list`'s
+    header check only, so lowering either constant on this module moves
+    every refusal.
+    """
+    cap = DEFAULT_EDGE_CAP if edges else DEFAULT_VERTEX_CAP
+    if count > cap:
+        shown = count if shown is None else shown
+        unit = "edge" if edges else "vertex"
+        raise SizeOverflowError(f"{subject} {shown} exceeds {unit} cap {cap}")
 
 
 class GraphError(ValueError):
@@ -216,7 +240,8 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    """K_n."""
+    """K_n, refused over the edge cap before any pair is built."""
+    _check_cap("size", n * (n - 1) // 2, edges=True)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
@@ -90,14 +89,6 @@ class TooLargeError(ValueError):
     exceeds :data:`HARARY_WORK_BUDGET`, before any BFS runs.  The message
     names the budget that was hit.
     """
-
-
-@dataclass(frozen=True)
-class IndexValue:
-    """A named index value; the value type depends on the index."""
-
-    index_id: str
-    value: int | Fraction | float
 
 
 def neighbourhood_zagreb(G: Graph) -> int:
@@ -377,10 +368,13 @@ _DISPATCH = {
 }
 
 
-def compute_index(G: Graph, index_id: str) -> IndexValue:
-    """Compute any supported index by id; see :data:`INDEX_IDS`."""
+def compute_index(G: Graph, index_id: str) -> int | Fraction | float:
+    """Compute any supported index by id; see :data:`INDEX_IDS`.
+
+    The value's type is the index's own, as in the module docstring's table.
+    """
     try:
         fn = _DISPATCH[index_id]
     except KeyError:
         raise ValueError(f"unknown index id {index_id!r}; expected one of {INDEX_IDS}") from None
-    return IndexValue(index_id, fn(G))
+    return fn(G)

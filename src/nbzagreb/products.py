@@ -30,6 +30,13 @@ contract is distinct pairs ``(x, y)`` with ``0 <= x < y < n1*n2``.  With
   ``(a, b)`` once per edge of ``G1``;
 * no pair is both inside one block and between two blocks.
 
+Before it builds any pair, each kind works out its order and its size
+(edge count) from the factors, with ``m1``, ``m2`` the factor sizes:
+cartesian ``n1*m2 + n2*m1``, tensor ``2*m1*m2``, wreath ``m1*n2**2 + n1*m2``.
+It refuses an order over :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP` or a
+size over :data:`~nbzagreb.graphs.DEFAULT_EDGE_CAP` with
+:class:`SizeOverflowError`.
+
 Each product kind obeys a per-vertex law for the neighbour-degree sum of
 the constructed graph; :func:`delta_law_check` verifies it exhaustively.
 """
@@ -40,11 +47,8 @@ import enum
 from collections.abc import Sequence
 from functools import reduce
 
-from .graphs import DEFAULT_VERTEX_CAP, Graph
-
-
-class SizeOverflowError(ValueError):
-    """A product would exceed the configured vertex cap."""
+# SizeOverflowError is re-exported: products.SizeOverflowError is the same class
+from .graphs import Graph, SizeOverflowError, _check_cap
 
 
 class ProductKind(enum.Enum):
@@ -53,11 +57,9 @@ class ProductKind(enum.Enum):
     WREATH = "wreath"
 
 
-def _check_cap(n1: int, n2: int, vertex_cap: int) -> None:
-    if n1 * n2 > vertex_cap:
-        raise SizeOverflowError(
-            f"product order {n1 * n2} exceeds vertex cap {vertex_cap}"
-        )
+def _check_product(order: int, size: int) -> None:
+    _check_cap("product order", order)
+    _check_cap("product size", size, edges=True)
 
 
 def _blocks(n1: int, n2: int) -> list[list[int]]:
@@ -69,18 +71,18 @@ def _blocks(n1: int, n2: int) -> list[list[int]]:
     return [list(range(base, base + n2)) for base in range(0, n1 * n2, n2)]
 
 
-def cartesian(G1: Graph, G2: Graph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def cartesian(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_cap(n1, n2, vertex_cap)
+    _check_product(n1 * n2, n1 * G2.size + n2 * G1.size)
     blocks = _blocks(n1, n2)
     edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
     edges += [pair for u1, u2 in G1.edges for pair in zip(blocks[u1], blocks[u2])]
     return Graph._from_canonical(n1 * n2, edges)
 
 
-def tensor(G1: Graph, G2: Graph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def tensor(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_cap(n1, n2, vertex_cap)
+    _check_product(n1 * n2, 2 * G1.size * G2.size)
     blocks = _blocks(n1, n2)
     arcs = [*G2.edges, *[(v2, v1) for v1, v2 in G2.edges]]
     edges = [
@@ -91,9 +93,9 @@ def tensor(G1: Graph, G2: Graph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Gra
     return Graph._from_canonical(n1 * n2, edges)
 
 
-def wreath(G1: Graph, G2: Graph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def wreath(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_cap(n1, n2, vertex_cap)
+    _check_product(n1 * n2, G1.size * n2 * n2 + n1 * G2.size)
     blocks = _blocks(n1, n2)
     edges = [(x, y) for u1, u2 in G1.edges for x in blocks[u1] for y in blocks[u2]]
     edges += [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
@@ -107,26 +109,16 @@ _CONSTRUCTORS = {
 }
 
 
-def product(
-    G1: Graph,
-    G2: Graph,
-    kind: ProductKind,
-    *,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> Graph:
+def product(G1: Graph, G2: Graph, kind: ProductKind) -> Graph:
     """Construct the product of the given kind (argument order preserved)."""
-    return _CONSTRUCTORS[kind](G1, G2, vertex_cap=vertex_cap)
+    return _CONSTRUCTORS[kind](G1, G2)
 
 
-def cartesian_n(
-    graphs: Sequence[Graph], *, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> Graph:
+def cartesian_n(graphs: Sequence[Graph]) -> Graph:
     """Left fold of the binary cartesian product over a non-empty list."""
     if not graphs:
         raise ValueError("cartesian_n needs at least one factor")
-    return reduce(
-        lambda acc, g: cartesian(acc, g, vertex_cap=vertex_cap), graphs
-    )
+    return reduce(cartesian, graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +154,7 @@ _DELTA_LAWS = {
 }
 
 
-def delta_law_check(
-    G1: Graph,
-    G2: Graph,
-    kind: ProductKind,
-    *,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> bool:
+def delta_law_check(G1: Graph, G2: Graph, kind: ProductKind) -> bool:
     """True iff the constructed product graph realizes the per-vertex law.
 
     Builds the product, computes the neighbour-degree sum of every product
@@ -176,7 +162,7 @@ def delta_law_check(
     on factor data.
     """
     law = _DELTA_LAWS[kind]
-    P = product(G1, G2, kind, vertex_cap=vertex_cap)
+    P = product(G1, G2, kind)
     n2 = G2.order
     deltas = P.neighbor_degree_sums()
     for u in range(G1.order):

@@ -112,7 +112,7 @@ def mean_isomer_degeneracy(index_id: str, graphs: list[Graph]) -> DegeneracyRepo
     """Compute ``d = n / t`` for one index over the given isomer graphs."""
     if not graphs:
         raise ValueError("need at least one graph")
-    values = [compute_index(g, index_id).value for g in graphs]
+    values = [compute_index(g, index_id) for g in graphs]
     tolerance = CHI_GROUP_TOLERANCE if index_id == "CHI" else None
     t = _distinct_count(values, tolerance)
     return DegeneracyReport(index_id=index_id, n=len(graphs), t=t)

@@ -7,9 +7,10 @@ override) or, for a random-trial rule, from its sampler on a seeded
 ``random.Random``.  For each point the record's oracle builds the product
 graph vertex by vertex and the neighbourhood Zagreb index is computed
 directly from the definition; only then is the closed form evaluated
-verbatim.  A point whose graph would exceed the vertex cap is skipped,
-and neither side is evaluated.  The constructions are the oracle; the
-closed forms are only ever compared, never trusted.
+verbatim.  A point whose graph would exceed the vertex cap or the edge
+cap of :mod:`nbzagreb.graphs` is skipped, and neither side is evaluated.
+The constructions are the oracle; the closed forms are only ever
+compared, never trusted.
 
 The result is a deterministic :class:`DiscrepancyReport`: ``UNVERIFIED``
 when no point was checked (zero trials, or every point skipped),
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 from importlib.resources import files
 
 from .formulas import CATALOG, FORMULA_IDS, Formula, GraphStats
+from .graphs import SizeOverflowError
 from .indices import neighbourhood_zagreb
-from .products import DEFAULT_VERTEX_CAP, SizeOverflowError
 
 CONSISTENT = "CONSISTENT"
 ERRATUM = "ERRATUM"
@@ -140,7 +141,6 @@ def verify(
     m_values=None,
     n_values=None,
     sizes=None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> DiscrepancyReport:
     """Check one catalogued formula against direct computation.
 
@@ -149,7 +149,7 @@ def verify(
     size lists, HAMMING only) override it; overrides are checked in
     sorted order.  Random-factor rules run ``trials`` seeded trials.
     Each point builds its oracle first: a point whose graph would exceed
-    ``vertex_cap`` is recorded as skipped, and neither side is evaluated.
+    a cap is recorded as skipped, and neither side is evaluated.
     """
     if formula_id not in CATALOG:
         raise ValueError(
@@ -164,7 +164,7 @@ def verify(
     for args, labels in cases:
         stated = record.stated is None or record.stated(*args)
         try:
-            graph = record.oracle(vertex_cap, *args)
+            graph = record.oracle(*args)
         except SizeOverflowError:
             points.append(GridPoint(labels, None, None, skipped=True, in_stated_range=stated))
             continue
@@ -174,17 +174,9 @@ def verify(
     return DiscrepancyReport(formula_id, tuple(points))
 
 
-def verify_all(
-    *,
-    seed: int = 0,
-    trials: int = DEFAULT_TRIALS,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> list[DiscrepancyReport]:
+def verify_all(*, seed: int = 0, trials: int = DEFAULT_TRIALS) -> list[DiscrepancyReport]:
     """Verify the whole catalog in its canonical order."""
-    return [
-        verify(fid, seed=seed, trials=trials, vertex_cap=vertex_cap)
-        for fid in FORMULA_IDS
-    ]
+    return [verify(fid, seed=seed, trials=trials) for fid in FORMULA_IDS]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import re
+import resource
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def bounded_memory():
+    """Cap this process's address space at its current size plus 1 GiB for
+    the test, so that a refusal which regressed into building its graph
+    ends in MemoryError (``nbzagreb: out of memory``) within seconds
+    instead of filling the machine.  Without ``/proc`` the test runs
+    unbounded."""
+    try:
+        with open("/proc/self/statm", encoding="ascii") as f:
+            size = int(f.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = size + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 class TestCompute:
@@ -172,6 +200,16 @@ class TestCompute:
             capsys, "compute", "--family", family, *params, "--index", "MN"
         )
         assert code == 0 and int(out) >= 0
+
+    def test_complete_over_the_edge_cap_is_refused_before_building(
+        self, capsys, bounded_memory
+    ):
+        # K_100000 has about 5*10^9 edges; refused from n alone
+        code, out, err = run(
+            capsys, "compute", "--family", "complete", "--n", "100000", "--index", "MN"
+        )
+        assert code == 2 and out == ""
+        assert err == "nbzagreb: size 4999950000 exceeds edge cap 10000000\n"
 
     def test_path_over_the_vertex_cap_is_data_error(self, capsys):
         code, out, err = run(
@@ -410,3 +448,83 @@ class TestUsage:
 
     def test_missing_index(self, capsys):
         assert run(capsys, "compute", "--family", "path", "--n", "3")[0] == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_code_blocks() -> list[list[str]]:
+    blocks: list[list[str]] = []
+    block = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            if block is None:
+                block = []
+            else:
+                blocks.append(block)
+                block = None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+def _readme_commands() -> list[tuple[str, list[str]]]:
+    """Every ``$ nbzagreb ...`` line of the README with the lines under it."""
+    commands = []
+    for block in _readme_code_blocks():
+        current = None
+        for line in block:
+            if line.startswith("$ "):
+                current = (line[2:], [])
+                commands.append(current)
+            elif current is not None:
+                current[1].append(line)
+    return commands
+
+
+_BARE_VALUE = re.compile(r"^(nbzagreb .+?)\s+# (\S+)$")
+
+
+def _readme_values() -> list[tuple[str, str]]:
+    """Every ``nbzagreb ... # <value>`` line whose comment is one bare value."""
+    return [
+        match.groups()
+        for block in _readme_code_blocks()
+        for match in map(_BARE_VALUE.match, block)
+        if match
+    ]
+
+
+def _argv(command: str) -> list[str]:
+    program, *argv = shlex.split(command)
+    assert program == "nbzagreb"
+    return argv
+
+
+class TestReadme:
+    """The CLI outputs the README shows, run in-process."""
+
+    def test_examples_found(self):
+        assert len(_readme_commands()) == 8
+        assert [value for _, value in _readme_values()] == ["972", "165580141", "41"]
+
+    @pytest.mark.parametrize(
+        "command, lines", _readme_commands(), ids=[c for c, _ in _readme_commands()]
+    )
+    def test_command(self, capsys, bounded_memory, command, lines):
+        # a "nbzagreb: ..." line is the one stderr line of an error;
+        # "nbzagreb: error: ..." is a usage error (exit 1), any other a data error
+        errors = [line for line in lines if line.startswith("nbzagreb: ")]
+        output = [line for line in lines if not line.startswith("nbzagreb: ")]
+        expected_code = 0 if not errors else 1 if errors[0].startswith("nbzagreb: error:") else 2
+        code, out, err = run(capsys, *_argv(command))
+        assert out == "".join(line + "\n" for line in output)
+        assert err == "".join(line + "\n" for line in errors)
+        assert code == expected_code
+
+    @pytest.mark.parametrize(
+        "command, value", _readme_values(), ids=[c for c, _ in _readme_values()]
+    )
+    def test_bare_value(self, capsys, bounded_memory, command, value):
+        code, out, err = run(capsys, *_argv(command))
+        assert (code, out, err) == (0, value + "\n", "")

@@ -1,5 +1,6 @@
 import pytest
 
+import nbzagreb.graphs
 from nbzagreb import FAMILIES, SizeOverflowError, build_family, families
 
 
@@ -30,36 +31,45 @@ class TestOrderCheckedBeforeBuilding:
             ("closed_fence", (6,), 12),
         ],
     )
-    def test_product_families(self, no_factor_builds, name, args, order):
+    def test_product_families(self, no_factor_builds, monkeypatch, name, args, order):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10)
         with pytest.raises(SizeOverflowError) as exc:
-            getattr(families, name)(*args, vertex_cap=10)
+            getattr(families, name)(*args)
         assert str(exc.value) == f"product order {order} exceeds vertex cap 10"
 
-    def test_empty_factor_does_not_hide_its_partner(self, no_factor_builds):
+    def test_empty_factor_does_not_hide_its_partner(self, no_factor_builds, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10)
         with pytest.raises(SizeOverflowError) as exc:
-            families.grid(0, 10 ** 12, vertex_cap=10)
+            families.grid(0, 10 ** 12)
         assert str(exc.value) == f"factor order {10 ** 12} exceeds vertex cap 10"
 
     @pytest.mark.parametrize(
         "name, arg", [("hypercube", 4), ("hypercube", 64), ("hamming", [2] * 64)]
     )
-    def test_factor_count_refused_without_the_power(self, no_factor_builds, name, arg):
+    def test_factor_count_refused_without_the_power(
+        self, no_factor_builds, monkeypatch, name, arg
+    ):
         # 10 has bit length 4: four or more factors of order >= 2 are over it
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10)
         with pytest.raises(SizeOverflowError) as exc:
-            getattr(families, name)(arg, vertex_cap=10)
+            getattr(families, name)(arg)
         count = arg if name == "hypercube" else len(arg)
         assert str(exc.value) == f"product order >= 2**{count} exceeds vertex cap 10"
 
     @pytest.mark.parametrize("name", ["path", "cycle", "complete"])
-    def test_elementary_families_take_the_cap(self, no_factor_builds, name):
+    def test_elementary_families_take_the_cap(self, no_factor_builds, monkeypatch, name):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10)
         with pytest.raises(SizeOverflowError) as exc:
-            build_family(name, n=11, vertex_cap=10)
+            build_family(name, n=11)
         assert str(exc.value) == "order 11 exceeds vertex cap 10"
 
-    def test_at_the_cap_still_builds(self):
-        assert families.grid(2, 5, vertex_cap=10).order == 10
-        assert families.hypercube(3, vertex_cap=8).order == 8
-        assert build_family("path", n=10, vertex_cap=10).order == 10
+    def test_at_the_cap_still_builds(self, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10)
+        assert families.grid(2, 5).order == 10
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 8)
+        assert families.hypercube(3).order == 8
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10)
+        assert build_family("path", n=10).order == 10
 
 
 class TestRegistry:
@@ -67,7 +77,7 @@ class TestRegistry:
         for name, (params, builder) in FAMILIES.items():
             values = {"m": 3, "n": 4, "sizes": [2, 3]}
             g = build_family(name, **{p: values[p] for p in params})
-            assert g == builder(*(values[p] for p in params), vertex_cap=10 ** 6)
+            assert g == builder(*(values[p] for p in params))
 
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="needs parameter --m"):

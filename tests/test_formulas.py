@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import nbzagreb.graphs
 from nbzagreb import (
     CONSISTENT,
     ERRATUM,
@@ -225,8 +226,9 @@ class TestVerify:
         b = verify("PROP4_PRINTED", seed=7, trials=50)
         assert a == b
 
-    def test_skip_marker_on_overflow(self):
-        report = verify("EX_GRID", m_values=[4, 50], n_values=[50], vertex_cap=500)
+    def test_skip_marker_on_overflow(self, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 500)
+        report = verify("EX_GRID", m_values=[4, 50], n_values=[50])
         by_m = {dict(p.params)["m"]: p for p in report.points}
         assert not by_m[4].skipped
         assert by_m[50].skipped and by_m[50].oracle is None and by_m[50].delta is None
@@ -237,13 +239,15 @@ class TestVerify:
         assert report.status == UNVERIFIED
         assert report.summary() == "PROP1: UNVERIFIED (0 points)"
 
-    def test_all_points_skipped_unverified(self):
-        report = verify("EX_GRID", m_values=[50], n_values=[50, 60], vertex_cap=500)
+    def test_all_points_skipped_unverified(self, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 500)
+        report = verify("EX_GRID", m_values=[50], n_values=[50, 60])
         assert report.skipped_points == 2
         assert report.status == UNVERIFIED
 
-    def test_partly_skipped_report_keeps_its_verdict(self):
-        report = verify("EX_PRISM", n_values=[3, 400], vertex_cap=500)
+    def test_partly_skipped_report_keeps_its_verdict(self, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 500)
+        report = verify("EX_PRISM", n_values=[3, 400])
         assert report.skipped_points == 1
         assert report.status == CONSISTENT
 
@@ -269,13 +273,15 @@ class TestVerify:
             raise AssertionError("closed form evaluated for a skipped point")
 
         monkeypatch.setattr(formulas, "mn_hamming", refuse)
-        report = verify("HAMMING", sizes=[[2] * 6], vertex_cap=10)
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10)
+        report = verify("HAMMING", sizes=[[2] * 6])
         (point,) = report.points
         assert point.skipped and point.closed is None and point.oracle is None
         assert reports_to_csv([report]).splitlines()[1] == "HAMMING,sizes=2x2x2x2x2x2,,,"
 
-    def test_skipped_trials_evaluate_neither_side(self):
-        report = verify("PROP1", seed=1, trials=5, vertex_cap=0)
+    def test_skipped_trials_evaluate_neither_side(self, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 0)
+        report = verify("PROP1", seed=1, trials=5)
         assert report.skipped_points == 5
         assert all(p.closed is None for p in report.points)
 

@@ -7,7 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nbzagreb import (
-    DEFAULT_VERTEX_CAP,
     DuplicateEdgeError,
     EdgeListSyntaxError,
     Graph,
@@ -30,6 +29,7 @@ from nbzagreb import (
     serialize_edge_list,
     star_graph,
 )
+from nbzagreb.graphs import DEFAULT_VERTEX_CAP
 
 from oracle_helpers import adjacency_from_edges
 

@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import random
 from itertools import permutations
 from math import prod
@@ -6,7 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nbzagreb
+import nbzagreb.graphs
 from nbzagreb import (
+    FAMILIES,
+    EdgeListSyntaxError,
     Graph,
     ProductKind,
     SizeOverflowError,
@@ -27,6 +34,8 @@ from nbzagreb import (
     tensor,
     wreath,
 )
+from nbzagreb import build_family, parse_edge_list, products, verify
+from nbzagreb.formulas import CATALOG
 
 from oracle_helpers import mn_oracle
 
@@ -87,11 +96,119 @@ class TestConstructions:
         assert product(g1, g2, ProductKind.TENSOR) == tensor(g1, g2)
         assert product(g1, g2, ProductKind.WREATH) == wreath(g1, g2)
 
-    def test_size_overflow(self):
+    def test_size_overflow(self, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10 ** 4)
         with pytest.raises(SizeOverflowError):
-            cartesian(path_graph(100), path_graph(200), vertex_cap=10 ** 4)
+            cartesian(path_graph(100), path_graph(200))
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 10 ** 5)
         with pytest.raises(SizeOverflowError):
-            cartesian_n([path_graph(30)] * 4, vertex_cap=10 ** 5)
+            cartesian_n([path_graph(30)] * 4)
+
+
+def _refuse_construction(monkeypatch):
+    """Fail the product pair lists and both graph constructors."""
+
+    def refuse(*args):
+        raise AssertionError("a pair list or a graph was built")
+
+    monkeypatch.setattr(products, "_blocks", refuse)
+    monkeypatch.setattr(Graph, "_from_canonical", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
+
+
+class TestCaps:
+    """Both caps are constants of ``nbzagreb.graphs``, read at call time."""
+
+    def test_lowering_the_vertex_cap_moves_every_refusal(self, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 11)
+        g1, g2 = path_graph(3), path_graph(4)
+        for kind in ProductKind:
+            with pytest.raises(SizeOverflowError) as exc:
+                product(g1, g2, kind)
+            assert str(exc.value) == "product order 12 exceeds vertex cap 11"
+        for name, params, message in [
+            ("path", {"n": 12}, "order 12"),
+            ("grid", {"m": 3, "n": 4}, "product order 12"),
+            ("hypercube", {"m": 4}, "product order >= 2**4"),
+        ]:
+            with pytest.raises(SizeOverflowError) as exc:
+                build_family(name, **params)
+            assert str(exc.value) == f"{message} exceeds vertex cap 11"
+        report = verify("EX_GRID", m_values=[4], n_values=[4])
+        assert report.summary() == "EX_GRID: UNVERIFIED (1 points, 1 skipped)"
+        with pytest.raises(EdgeListSyntaxError) as exc:
+            parse_edge_list("12 0\n")
+        assert str(exc.value) == "line 1: order 12 exceeds vertex cap 11"
+        assert build_family("path", n=11).order == parse_edge_list("11 0\n").order == 11
+
+    def test_no_public_callable_takes_a_cap(self):
+        modules = [
+            importlib.import_module(f"nbzagreb.{info.name}")
+            for info in pkgutil.iter_modules(nbzagreb.__path__)
+            if not info.name.startswith("_")
+        ]
+        callables = []
+        for module in modules:
+            for name, value in vars(module).items():
+                if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(value):
+                    callables.append(value)
+                elif inspect.isclass(value):
+                    callables += [
+                        attr for key, attr in vars(value).items()
+                        if inspect.isfunction(attr) and (key == "__init__" or not key.startswith("_"))
+                    ]
+        assert len(callables) > 50
+        for fn in callables:
+            assert "vertex_cap" not in inspect.signature(fn).parameters, fn.__qualname__
+        # records and families take exactly their parameters, no leading cap
+        for record in CATALOG.values():
+            if record.grid is not None:
+                assert tuple(inspect.signature(record.oracle).parameters) == record.params
+        for params, builder in FAMILIES.values():
+            assert tuple(inspect.signature(builder).parameters) == params
+
+    @pytest.mark.parametrize(
+        "kind, size",
+        [(ProductKind.CARTESIAN, 17), (ProductKind.TENSOR, 12), (ProductKind.WREATH, 41)],
+    )
+    def test_product_over_the_edge_cap_refused_before_any_pair(self, monkeypatch, kind, size):
+        g1, g2 = path_graph(3), path_graph(4)
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", size - 1)
+        _refuse_construction(monkeypatch)
+        with pytest.raises(SizeOverflowError) as exc:
+            product(g1, g2, kind)
+        assert str(exc.value) == f"product size {size} exceeds edge cap {size - 1}"
+
+    def test_complete_graph_over_the_edge_cap_refused_before_any_pair(self, monkeypatch):
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", 45)
+        assert complete_graph(10).size == 45
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", 44)
+        _refuse_construction(monkeypatch)
+        with pytest.raises(SizeOverflowError) as exc:
+            complete_graph(10)
+        assert str(exc.value) == "size 45 exceeds edge cap 44"
+
+    def test_product_sizes_are_worked_out_exactly(self, monkeypatch):
+        rng = random.Random(23)
+        pairs = [_random_pair(rng) for _ in range(60)]
+        for g1, g2 in pairs:
+            for kind in ProductKind:
+                monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", 10 ** 7)
+                size = product(g1, g2, kind).size
+                monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", size)
+                assert product(g1, g2, kind).size == size
+                monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", size - 1)
+                with pytest.raises(SizeOverflowError):
+                    product(g1, g2, kind)
+
+    def test_verify_skips_a_point_over_the_edge_cap(self, monkeypatch):
+        # K8 x K3 has 2 * 28 * 3 = 168 edges, K8 x K8 has 1568
+        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", 1000)
+        report = verify("EX_TENSOR_KK", n_values=[8], m_values=[3, 8])
+        assert report.summary() == "EX_TENSOR_KK: CONSISTENT (2 points, 1 skipped)"
+        assert [p.skipped for p in report.points] == [False, True]
 
 
 def _by_definition(G1, G2, kind):
