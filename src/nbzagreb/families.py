@@ -10,8 +10,11 @@ parameters and compares it with :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP`
 before it builds any factor, so an oversized request costs nothing and
 raises :class:`~nbzagreb.graphs.SizeOverflowError`.  Edge counts are
 checked against the edge cap where edges are made: in ``complete_graph``
-and in the products.  :data:`FAMILIES` is the one registry of family
-names: ``name -> (parameter names, builder)``.
+and in the products.  The rook and Hamming families also work out their
+factors' and products' edge counts from the parameters, so they refuse
+before a complete factor is built, with the refusal that building would
+raise first.  :data:`FAMILIES` is the one registry of family names:
+``name -> (parameter names, builder)``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from math import prod
 
-from .graphs import Graph, _check_cap, complete_graph, cycle_graph, path_graph
-from .products import cartesian, cartesian_n, wreath
+from .graphs import Graph, _check_cap, _complete_size, complete_graph, cycle_graph, path_graph
+from .products import _check_cartesian, cartesian, cartesian_n, wreath
 
 
 def _check_order(*factor_orders: int) -> None:
@@ -36,6 +39,16 @@ def _check_factor_count(count: int) -> None:
     The power stops at ``2**64``, over any cap a graph could be built under.
     """
     _check_cap("product order >=", 2 ** min(count, 64), shown=f"2**{count}")
+
+
+def _check_complete_cartesian(*orders: int) -> None:
+    """Refuse the cartesian product of complete graphs of these orders
+    before any is built, with the refusal that building them in order and
+    folding :func:`cartesian` over them would raise first."""
+    sizes = [_complete_size(k) for k in orders]
+    order, size = orders[0], sizes[0]
+    for k, s in zip(orders[1:], sizes[1:]):
+        order, size = _check_cartesian(order, size, k, s)
 
 
 def ladder(n: int) -> Graph:
@@ -71,6 +84,7 @@ def prism(n: int) -> Graph:
 def rook(m: int, n: int) -> Graph:
     """Rook's graph K_m x K_n."""
     _check_order(m, n)
+    _check_complete_cartesian(m, n)
     return cartesian(complete_graph(m), complete_graph(n))
 
 
@@ -82,6 +96,7 @@ def hamming(sizes: Sequence[int]) -> Graph:
         raise ValueError(f"hamming factor sizes must be >= 2, got {list(sizes)}")
     _check_factor_count(len(sizes))
     _check_order(*sizes)
+    _check_complete_cartesian(*sizes)
     return cartesian_n([complete_graph(s) for s in sizes])
 
 

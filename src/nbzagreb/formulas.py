@@ -39,6 +39,7 @@ from . import families
 from .families import _check_order
 from .graphs import (
     Graph,
+    _complete_size,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -47,7 +48,7 @@ from .graphs import (
     star_graph,
 )
 from .indices import first_zagreb, neighbourhood_zagreb, second_zagreb
-from .products import cartesian, cartesian_n, tensor, wreath
+from .products import _check_tensor, cartesian, cartesian_n, tensor, wreath
 
 
 class ParamOutOfStatedRangeWarning(UserWarning):
@@ -215,13 +216,29 @@ def _factor_tuple(rng: random.Random):
 
 
 def _tensor_line(left: Callable[[int], Graph], right: Callable[[int], Graph]):
-    """Oracle of the tensor line ``left(n) x right(m)``, capped before either is built."""
+    """Oracle of the tensor line ``left(n) x right(m)``, capped before either is built.
+
+    The product's size is checked before a complete factor is built; the
+    factors are checked in build order, so the refusal is the one that
+    building them would raise first.
+    """
 
     def build(n: int, m: int) -> Graph:
         _check_order(n, m)
-        return tensor(left(n), right(m))
+        (m1, g1), (m2, g2) = _planned(left, n), _planned(right, m)
+        _check_tensor(n, m1, m, m2)
+        return tensor(g1(), g2())
 
     return build
+
+
+def _planned(build: Callable[[int], Graph], n: int) -> tuple[int, Callable[[], Graph]]:
+    """The size of ``build(n)`` and a thunk that returns it, refused as
+    ``build(n)`` would be; a complete graph is built only by the thunk."""
+    if build is complete_graph:
+        return _complete_size(n), lambda: complete_graph(n)
+    graph = build(n)
+    return graph.size, lambda: graph
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,11 @@ class GraphError(ValueError):
     """Base class for graph construction and parsing errors."""
 
 
+def _check_positive(order: int) -> None:
+    if order < 1:
+        raise GraphError(f"order must be >= 1, got {order}")
+
+
 class LoopEdgeError(GraphError):
     """An edge joins a vertex to itself."""
 
@@ -97,8 +102,7 @@ class Graph:
     __slots__ = ("_order", "_adj", "_edges", "_degrees")
 
     def __init__(self, order: int, edge_pairs: Iterable[tuple[int, int]] = ()):
-        if order < 1:
-            raise GraphError(f"order must be >= 1, got {order}")
+        _check_positive(order)
         keys: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for u, v in edge_pairs:
@@ -241,8 +245,16 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """K_n, refused over the edge cap before any pair is built."""
-    _check_cap("size", n * (n - 1) // 2, edges=True)
+    _complete_size(n)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _complete_size(n: int) -> int:
+    """Size of K_n, refused as :func:`complete_graph` refuses it, with nothing built."""
+    size = n * (n - 1) // 2
+    _check_cap("size", size, edges=True)
+    _check_positive(n)
+    return size
 
 
 def star_graph(n: int) -> Graph:

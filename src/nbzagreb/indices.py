@@ -50,11 +50,29 @@ whose order alone could exceed the budget, a union-find pass over the
 edges looks for a cycle in an over-budget component before the adjacency
 is built, so a large cyclic graph is refused at O(order) memory.
 
-``HARARY`` runs one BFS per source vertex into a histogram of ordered
-pairs per distance, then builds one ``Fraction`` over the least common
-multiple of the distances.  Time O(order * (order + size)), memory
-O(order).  :data:`HARARY_WORK_BUDGET` bounds that product and is checked
-before the adjacency is read or any BFS runs.
+``HARARY`` fills a histogram of ordered vertex pairs per distance, then
+builds one ``Fraction`` over the least common multiple of the distances.
+Two kernels fill the same exact histogram:
+
+* Per-source BFS runs one BFS from each vertex.  Time
+  O(order * (order + size)), memory O(order).
+* The bitset kernel runs every source at once (Then et al., "The More the
+  Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
+  ``seen[v]`` and ``front[v]`` are ints with bit s set when source s has
+  reached v, and at most once per distance level each vertex ORs its
+  neighbours' fronts and counts the new bits.  Time about
+  diameter * (order + size) big-int operations on order-bit ints, memory
+  at most about 3 * order**2 / 8 bytes (about 18 MB at order 7071, the
+  largest the budget admits).
+
+A double-sweep BFS per component (from its first vertex, then from the
+farthest vertex found) gives a diameter estimate L, at least half the
+largest component diameter.  The bitset kernel runs when 4 * L < order,
+per-source BFS otherwise: on paths, cycles, ladders and long spiders the
+bitsets' levels cost more than the sources they share.
+:data:`HARARY_WORK_BUDGET` bounds order * (order + size), the per-source
+BFS steps, which is an upper bound for both kernels; it is checked before
+the adjacency is read or any BFS runs.
 """
 
 from __future__ import annotations
@@ -75,7 +93,8 @@ COUNTING_ORDER_LIMIT = 32
 #: cycle, in 64-bit mask words (see the module docstring).
 COUNTING_STATE_BUDGET = 1 << 16
 
-#: Budget of HARARY in BFS steps, counted as order * (order + size).
+#: Budget of HARARY in per-source BFS steps, order * (order + size): an
+#: upper bound for both kernels (see the module docstring).
 HARARY_WORK_BUDGET = 5 * 10 ** 7
 
 
@@ -115,7 +134,14 @@ def randic(G: Graph) -> float:
 
 
 def harary(G: Graph) -> Fraction:
-    """Sum of reciprocal distances over unordered reachable pairs, exact."""
+    """Sum of reciprocal distances over unordered reachable pairs, exact.
+
+    The distance histogram comes from the bitset kernel when a double-sweep
+    diameter estimate L has 4 * L < order, and from one BFS per source
+    otherwise (see the module docstring).  Over :data:`HARARY_WORK_BUDGET`
+    per-source BFS steps, an upper bound for both kernels, it raises
+    :class:`TooLargeError` before any BFS runs.
+    """
     work = G.order * (G.order + G.size)
     if work > HARARY_WORK_BUDGET:
         raise TooLargeError(
@@ -130,7 +156,84 @@ def harary(G: Graph) -> Fraction:
 
 
 def _distance_histogram(G: Graph) -> list[int]:
-    """``hist[d]``: ordered vertex pairs at distance d >= 1; ``hist[0]`` is 0."""
+    """``hist[d]``: ordered vertex pairs at distance d >= 1; ``hist[0]`` is 0.
+
+    Picks the bitset kernel or per-source BFS from the graph's diameter
+    estimate; see the module docstring.
+    """
+    if 4 * _diameter_estimate(G) < G.order:
+        return _bitset_histogram(G)
+    return _per_source_histogram(G)
+
+
+def _diameter_estimate(G: Graph) -> int:
+    """Largest double-sweep eccentricity over the components of ``G``."""
+    adj = G.adjacency
+    mark = [-1] * G.order  # mark[v] == stamp: v reached by that sweep
+    estimate = 0
+    for r in range(G.order):
+        if mark[r] == -1:
+            far, _ = _sweep(adj, r, mark, 2 * r)
+            _, depth = _sweep(adj, far, mark, 2 * r + 1)
+            estimate = max(estimate, depth)
+    return estimate
+
+
+def _sweep(adj, root: int, mark: list[int], stamp: int) -> tuple[int, int]:
+    """BFS from ``root``: a farthest vertex and its distance."""
+    mark[root] = stamp
+    frontier = [root]
+    depth = 0
+    while True:
+        layer = []
+        for v in frontier:
+            for u in adj[v]:
+                if mark[u] != stamp:
+                    mark[u] = stamp
+                    layer.append(u)
+        if not layer:
+            return frontier[0], depth
+        frontier = layer
+        depth += 1
+
+
+def _bitset_histogram(G: Graph) -> list[int]:
+    """All-sources BFS with one bit per source; see the module docstring.
+
+    A vertex stays active while some source first reaches it: every
+    vertex is a source, so a vertex that gains nothing at distance d has
+    no vertex at distance d and none farther.
+    """
+    adj = G.adjacency
+    seen = [1 << v for v in range(G.order)]
+    front = seen[:]
+    active = [v for v in range(G.order) if adj[v]]
+    hist = [0]
+    while active:
+        layer = [0] * G.order
+        still = []
+        count = 0
+        for v in active:
+            new = 0
+            for u in adj[v]:
+                new |= front[u]
+            s = seen[v]
+            new &= ~s
+            if new:
+                seen[v] = s | new
+                layer[v] = new
+                count += new.bit_count()
+                still.append(v)
+        if not count:
+            break
+        hist.append(count)
+        front = layer
+        active = still
+    return hist
+
+
+def _per_source_histogram(G: Graph) -> list[int]:
+    """One BFS per source vertex."""
     adj = G.adjacency
     hist = [0]
     seen = [-1] * G.order  # seen[v] == s: v reached from source s

@@ -62,6 +62,19 @@ def _check_product(order: int, size: int) -> None:
     _check_cap("product size", size, edges=True)
 
 
+def _check_cartesian(n1: int, m1: int, n2: int, m2: int) -> tuple[int, int]:
+    """Refuse the cartesian product of factors of orders n1, n2 and sizes
+    m1, m2 as :func:`cartesian` would; return its order and size."""
+    order, size = n1 * n2, n1 * m2 + n2 * m1
+    _check_product(order, size)
+    return order, size
+
+
+def _check_tensor(n1: int, m1: int, n2: int, m2: int) -> None:
+    """Refuse the tensor product of such factors as :func:`tensor` would."""
+    _check_product(n1 * n2, 2 * m1 * m2)
+
+
 def _blocks(n1: int, n2: int) -> list[list[int]]:
     """Product vertex ids block by block: ``blocks[u][v] == u * n2 + v``.
 
@@ -73,7 +86,7 @@ def _blocks(n1: int, n2: int) -> list[list[int]]:
 
 def cartesian(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_product(n1 * n2, n1 * G2.size + n2 * G1.size)
+    _check_cartesian(n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
     edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
     edges += [pair for u1, u2 in G1.edges for pair in zip(blocks[u1], blocks[u2])]
@@ -82,7 +95,7 @@ def cartesian(G1: Graph, G2: Graph) -> Graph:
 
 def tensor(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_product(n1 * n2, 2 * G1.size * G2.size)
+    _check_tensor(n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
     arcs = [*G2.edges, *[(v2, v1) for v1, v2 in G2.edges]]
     edges = [

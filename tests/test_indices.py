@@ -27,7 +27,7 @@ from nbzagreb import (
     second_zagreb,
     star_graph,
 )
-from nbzagreb import indices
+from nbzagreb import families, indices
 
 from oracle_helpers import count_independent_sets, count_matchings, floyd_warshall
 
@@ -336,6 +336,109 @@ class TestHarary:
     def test_at_the_budget_answered(self, monkeypatch):
         monkeypatch.setattr(indices, "HARARY_WORK_BUDGET", 10 * 20)
         assert harary(cycle_graph(10)) == _harary_oracle(cycle_graph(10))
+
+
+def _spider(legs, length):
+    """``legs`` paths of ``length`` edges joined at vertex 0."""
+    edges = []
+    for leg in range(legs):
+        prev = 0
+        for v in range(1 + leg * length, 1 + (leg + 1) * length):
+            edges.append((prev, v))
+            prev = v
+    return Graph(1 + legs * length, edges)
+
+
+def _random_connected(n, seed):
+    """A random spanning tree plus n // 2 random chords."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 2:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, sorted(edges))
+
+
+def _refuse_kernel(monkeypatch, name):
+    def never(G):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(indices, name, never)
+
+
+class TestHararyKernels:
+    """The bitset kernel and per-source BFS fill the same histogram; the
+    double-sweep diameter estimate L picks bitsets iff 4 * L < order."""
+
+    @staticmethod
+    def _fw_histogram(g):
+        dist = floyd_warshall(g.order, g.edges)
+        finite = [int(d) for row in dist for d in row if d != math.inf and d]
+        hist = [0] * (max(finite, default=0) + 1)
+        for d in finite:
+            hist[d] += 1
+        return hist
+
+    @given(st.one_of(graphs(max_order=14), sparse_graphs(max_order=14, max_size=20)))
+    @example(empty_graph(1))
+    @example(empty_graph(6))
+    @example(Graph(7, [(0, 1), (2, 3), (3, 4), (5, 6)]))
+    def test_kernels_agree_with_floyd_warshall(self, g):
+        hist = indices._bitset_histogram(g)
+        assert hist == indices._per_source_histogram(g) == self._fw_histogram(g)
+        total = sum((Fraction(count, 2 * d) for d, count in enumerate(hist) if d), Fraction(0))
+        assert total == _harary_oracle(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(path_graph(40), id="path40"),
+            pytest.param(cycle_graph(40), id="cycle40"),
+            pytest.param(families.ladder(30), id="ladder30"),
+            # from its centre, vertex 0, the spider is only 25 deep and
+            # 4 * 25 < 101; the second sweep finds the diameter 50
+            pytest.param(_spider(4, 25), id="spider101"),
+            pytest.param(complete_graph(4), id="K4"),
+            pytest.param(families.hypercube(4), id="Q4"),
+            pytest.param(families.grid(4, 4), id="grid4x4"),
+            pytest.param(
+                Graph(45, [(i, i + 1) for i in range(39)] + [(40, 41), (41, 42)]),
+                id="path40+path3+2K1",
+            ),
+        ],
+    )
+    def test_long_graphs_take_per_source_bfs(self, monkeypatch, g):
+        expected = indices._bitset_histogram(g)
+        _refuse_kernel(monkeypatch, "_bitset_histogram")
+        assert indices._distance_histogram(g) == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(families.grid(10, 12), id="grid10x12"),
+            pytest.param(complete_graph(5), id="K5"),
+            pytest.param(complete_graph(20), id="K20"),
+            pytest.param(families.hypercube(5), id="Q5"),
+            pytest.param(families.hypercube(7), id="Q7"),
+            pytest.param(_random_connected(60, 1), id="connected60"),
+            pytest.param(_random_connected(200, 2), id="connected200"),
+            pytest.param(empty_graph(1), id="K1"),
+            pytest.param(empty_graph(9), id="edgeless9"),
+            pytest.param(Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), id="4K2"),
+        ],
+    )
+    def test_short_graphs_take_bitsets(self, monkeypatch, g):
+        expected = indices._per_source_histogram(g)
+        _refuse_kernel(monkeypatch, "_per_source_histogram")
+        assert indices._distance_histogram(g) == expected
+
+    def test_complete_closed_form_on_bitsets(self, monkeypatch):
+        _refuse_kernel(monkeypatch, "_per_source_histogram")
+        assert harary(complete_graph(300)) == 300 * 299 // 2
+
+    def test_hypercube_closed_form_on_bitsets(self, monkeypatch):
+        _refuse_kernel(monkeypatch, "_per_source_histogram")
+        expected = sum((Fraction(2 ** 9 * math.comb(10, d), d) for d in range(1, 11)), Fraction(0))
+        assert harary(families.hypercube(10)) == expected
 
 
 class TestComputeIndex:

@@ -1,7 +1,10 @@
 import importlib
 import inspect
+import itertools
 import pkgutil
 import random
+import re
+import tracemalloc
 from itertools import permutations
 from math import prod
 
@@ -34,7 +37,7 @@ from nbzagreb import (
     tensor,
     wreath,
 )
-from nbzagreb import build_family, parse_edge_list, products, verify
+from nbzagreb import build_family, families, parse_edge_list, products, verify
 from nbzagreb.formulas import CATALOG
 
 from oracle_helpers import mn_oracle
@@ -189,6 +192,10 @@ class TestCaps:
         with pytest.raises(SizeOverflowError) as exc:
             complete_graph(10)
         assert str(exc.value) == "size 45 exceeds edge cap 44"
+        # the size is checked before the order: K_-10 would have 55 edges
+        with pytest.raises(SizeOverflowError) as exc:
+            complete_graph(-10)
+        assert str(exc.value) == "size 55 exceeds edge cap 44"
 
     def test_product_sizes_are_worked_out_exactly(self, monkeypatch):
         rng = random.Random(23)
@@ -202,6 +209,89 @@ class TestCaps:
                 monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", size - 1)
                 with pytest.raises(SizeOverflowError):
                     product(g1, g2, kind)
+
+    @pytest.mark.parametrize(
+        "build, size",
+        [
+            pytest.param(lambda: build_family("rook", m=1000, n=1000), 999000000, id="rook"),
+            pytest.param(lambda: build_family("hamming", sizes=[1000, 1000]), 999000000,
+                         id="hamming"),
+            # K_100 x K_100 (990000 edges) passes; the fold refuses its next product
+            pytest.param(lambda: build_family("hamming", sizes=[100, 100, 100]), 148500000,
+                         id="hamming3"),
+            pytest.param(lambda: CATALOG["EX_TENSOR_KK"].oracle(1000, 1000), 499000500000,
+                         id="EX_TENSOR_KK"),
+            pytest.param(lambda: CATALOG["EX_TENSOR_PK"].oracle(200, 1000), 198801000,
+                         id="EX_TENSOR_PK"),
+            pytest.param(lambda: CATALOG["EX_TENSOR_CK"].oracle(200, 1000), 199800000,
+                         id="EX_TENSOR_CK"),
+        ],
+    )
+    def test_complete_products_refused_before_any_factor(self, build, size):
+        # each K_1000 factor (499500 edges) is under the edge cap; building
+        # it would trace about 100 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeOverflowError) as exc:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"product size {size} exceeds edge cap 10000000"
+        assert peak < 1 << 20
+
+    def test_complete_products_refuse_as_building_in_order_would(self, monkeypatch):
+        """Under lowered caps, the refusal is the first that building every
+        factor in order and then each product of the fold would raise."""
+
+        def outcome(build, *args):
+            try:
+                return build(*args)
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        def rook_built(m, n):
+            families._check_order(m, n)
+            return cartesian(complete_graph(m), complete_graph(n))
+
+        def hamming_built(sizes):
+            families._check_factor_count(len(sizes))
+            families._check_order(*sizes)
+            return cartesian_n([complete_graph(s) for s in sizes])
+
+        factors = {"P": path_graph, "C": cycle_graph, "K": complete_graph}
+
+        def tensor_built(line, n, m):
+            families._check_order(n, m)
+            return tensor(factors[line[0]](n), factors[line[1]](m))
+
+        lines = ("PP", "CC", "KK", "PC", "PK", "CK")
+        size_lists = [
+            list(sizes) for k in (1, 2, 3) for sizes in itertools.product(range(2, 6), repeat=k)
+        ]
+        seen = set()
+        for vertex_cap, edge_cap in [(30, 8), (30, 60), (60, 40), (100, 300)]:
+            monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", vertex_cap)
+            monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", edge_cap)
+            for m in range(-4, 9):
+                for n in range(-4, 9):
+                    got = outcome(families.rook, m, n)
+                    assert got == outcome(rook_built, m, n), (m, n)
+                    seen.add(re.sub(r"-?\d+", "N", got[1]) if isinstance(got, tuple) else "built")
+                    for line in lines:
+                        assert outcome(CATALOG[f"EX_TENSOR_{line}"].oracle, n, m) == outcome(
+                            tensor_built, line, n, m
+                        ), (line, n, m)
+            for sizes in size_lists:
+                assert outcome(families.hamming, sizes) == outcome(hamming_built, sizes), sizes
+        # rook alone reaches built graphs and every refusal on the way
+        assert seen == {
+            "built",
+            "product order N exceeds vertex cap N",
+            "size N exceeds edge cap N",
+            "order must be >= N, got N",
+            "product size N exceeds edge cap N",
+        }
 
     def test_verify_skips_a_point_over_the_edge_cap(self, monkeypatch):
         # K8 x K3 has 2 * 28 * 3 = 168 edges, K8 x K8 has 1568
