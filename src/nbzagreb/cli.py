@@ -95,7 +95,10 @@ def _parse_int_range(text: str) -> list[int]:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    sizes = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
+    return sizes
 
 
 def _int_at_least(minimum: int):
@@ -226,7 +229,7 @@ def _cmd_verify(parser, args) -> int:
             "--seed is required when verifying random-trial rules"
         )
     seed = args.seed if args.seed is not None else 0
-    sizes = [args.sizes] if args.sizes else None
+    sizes = [args.sizes] if args.sizes is not None else None
     reports = [
         verify(fid, seed=seed, trials=args.trials, m_values=args.m, n_values=args.n,
                sizes=sizes)

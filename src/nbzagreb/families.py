@@ -5,25 +5,26 @@ Product families are always constructed with the product operators, never
 from closed-form expressions: the constructions are the ground truth the
 closed forms get checked against.
 
-Every family function works out the order of the member from its
-parameters and compares it with :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP`
-before it builds any factor, so an oversized request costs nothing and
-raises :class:`~nbzagreb.graphs.SizeOverflowError`.  Edge counts are
-checked against the edge cap where edges are made: in ``complete_graph``
-and in the products.  The rook and Hamming families also work out their
-factors' and products' edge counts from the parameters, so they refuse
-before a complete factor is built, with the refusal that building would
-raise first.  :data:`FAMILIES` is the one registry of family names:
-``name -> (parameter names, builder)``.
+Every product family is one plan, ``_product(kind, *(builder, n))``: it
+checks the member's order against :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP`
+before it builds any factor, builds path and cycle factors in order and
+only sizes complete ones.  When it holds a complete factor back, it checks
+each fold step with ``products._check_product``, the one size rule, before
+it builds that factor.  An oversized request costs nothing and raises the
+:class:`~nbzagreb.graphs.SizeOverflowError` or
+:class:`~nbzagreb.graphs.GraphError` that building every factor in order
+and then folding would raise first.  :data:`FAMILIES` is the one registry
+of family names: ``name -> (parameter names, builder)``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import reduce
 from math import prod
 
 from .graphs import Graph, _check_cap, _complete_size, complete_graph, cycle_graph, path_graph
-from .products import _check_cartesian, cartesian, cartesian_n, wreath
+from .products import _CONSTRUCTORS, ProductKind, _check_product
 
 
 def _check_order(*factor_orders: int) -> None:
@@ -41,51 +42,52 @@ def _check_factor_count(count: int) -> None:
     _check_cap("product order >=", 2 ** min(count, 64), shown=f"2**{count}")
 
 
-def _check_complete_cartesian(*orders: int) -> None:
-    """Refuse the cartesian product of complete graphs of these orders
-    before any is built, with the refusal that building them in order and
-    folding :func:`cartesian` over them would raise first."""
-    sizes = [_complete_size(k) for k in orders]
-    order, size = orders[0], sizes[0]
-    for k, s in zip(orders[1:], sizes[1:]):
-        order, size = _check_cartesian(order, size, k, s)
+def _product(kind: ProductKind, *factors: tuple[Callable[[int], Graph], int]) -> Graph:
+    """The left fold of the ``kind`` product over ``(builder, n)`` factors,
+    refused as building every factor in order and then folding would refuse
+    it; a complete factor is only sized until the whole fold is admitted."""
+    _check_order(*[n for _, n in factors])
+    graphs, sizes = [], []  # a complete factor's graph is None until the fold is admitted
+    for build, n in factors:
+        graph = None if build is complete_graph else build(n)
+        graphs.append(graph)
+        sizes.append(_complete_size(n) if graph is None else graph.size)
+    if None in graphs:
+        order, size = factors[0][1], sizes[0]
+        for (_, n), m in zip(factors[1:], sizes[1:]):
+            order, size = _check_product(kind, order, size, n, m)
+        graphs = [complete_graph(n) if g is None else g for g, (_, n) in zip(graphs, factors)]
+    return reduce(_CONSTRUCTORS[kind], graphs)
 
 
 def ladder(n: int) -> Graph:
     """L_n = P_2 x P_{n+1}: the ladder with n rungs plus the two ends."""
-    _check_order(2, n + 1)
-    return cartesian(path_graph(2), path_graph(n + 1))
+    return _product(ProductKind.CARTESIAN, (path_graph, 2), (path_graph, n + 1))
 
 
 def grid(m: int, n: int) -> Graph:
     """P_m x P_n rectangular grid."""
-    _check_order(m, n)
-    return cartesian(path_graph(m), path_graph(n))
+    return _product(ProductKind.CARTESIAN, (path_graph, m), (path_graph, n))
 
 
 def nanotube(m: int, n: int) -> Graph:
     """TUC4(m, n) = P_n x C_m: a C4 tube with n rings of girth m."""
-    _check_order(n, m)
-    return cartesian(path_graph(n), cycle_graph(m))
+    return _product(ProductKind.CARTESIAN, (path_graph, n), (cycle_graph, m))
 
 
 def nanotorus(m: int, n: int) -> Graph:
     """TC4(m, n) = C_m x C_n: a C4 torus."""
-    _check_order(m, n)
-    return cartesian(cycle_graph(m), cycle_graph(n))
+    return _product(ProductKind.CARTESIAN, (cycle_graph, m), (cycle_graph, n))
 
 
 def prism(n: int) -> Graph:
     """n-prism K_2 x C_n."""
-    _check_order(2, n)
-    return cartesian(complete_graph(2), cycle_graph(n))
+    return _product(ProductKind.CARTESIAN, (complete_graph, 2), (cycle_graph, n))
 
 
 def rook(m: int, n: int) -> Graph:
     """Rook's graph K_m x K_n."""
-    _check_order(m, n)
-    _check_complete_cartesian(m, n)
-    return cartesian(complete_graph(m), complete_graph(n))
+    return _product(ProductKind.CARTESIAN, (complete_graph, m), (complete_graph, n))
 
 
 def hamming(sizes: Sequence[int]) -> Graph:
@@ -95,9 +97,7 @@ def hamming(sizes: Sequence[int]) -> Graph:
     if any(s < 2 for s in sizes):
         raise ValueError(f"hamming factor sizes must be >= 2, got {list(sizes)}")
     _check_factor_count(len(sizes))
-    _check_order(*sizes)
-    _check_complete_cartesian(*sizes)
-    return cartesian_n([complete_graph(s) for s in sizes])
+    return _product(ProductKind.CARTESIAN, *[(complete_graph, s) for s in sizes])
 
 
 def hypercube(m: int) -> Graph:
@@ -110,14 +110,12 @@ def hypercube(m: int) -> Graph:
 
 def fence(n: int) -> Graph:
     """Fence graph P_n[P_2] (wreath product)."""
-    _check_order(n, 2)
-    return wreath(path_graph(n), path_graph(2))
+    return _product(ProductKind.WREATH, (path_graph, n), (path_graph, 2))
 
 
 def closed_fence(n: int) -> Graph:
     """Closed fence graph C_n[P_2] (wreath product)."""
-    _check_order(n, 2)
-    return wreath(cycle_graph(n), path_graph(2))
+    return _product(ProductKind.WREATH, (cycle_graph, n), (path_graph, 2))
 
 
 def _elementary(build: Callable[[int], Graph]) -> Callable[[int], Graph]:

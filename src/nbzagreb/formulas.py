@@ -13,6 +13,9 @@ its stated parameter range, and either the default parameter grid (the
 chemical families and HAMMING, whose one parameter is the size list) or
 the seeded factor sampler (the random-trial rules PROP1 to
 PROP4_PRINTED).  A new formula is a new record, not a new code path.
+The family and tensor-line oracles build through the one product plan of
+:mod:`nbzagreb.families`, which checks an oversized point against the one
+size rule of :mod:`nbzagreb.products` before it builds a complete factor.
 
 Multi-index sums written over ``i != j``, ``i != j != k`` etc. are sums
 over ordered tuples of *pairwise distinct* indices, evaluated literally
@@ -36,10 +39,8 @@ from itertools import permutations
 from math import prod
 
 from . import families
-from .families import _check_order
 from .graphs import (
     Graph,
-    _complete_size,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -48,7 +49,7 @@ from .graphs import (
     star_graph,
 )
 from .indices import first_zagreb, neighbourhood_zagreb, second_zagreb
-from .products import _check_tensor, cartesian, cartesian_n, tensor, wreath
+from .products import ProductKind, cartesian, cartesian_n, tensor, wreath
 
 
 class ParamOutOfStatedRangeWarning(UserWarning):
@@ -215,32 +216,6 @@ def _factor_tuple(rng: random.Random):
     return factors, (("orders", "x".join(str(g.order) for g in factors)),)
 
 
-def _tensor_line(left: Callable[[int], Graph], right: Callable[[int], Graph]):
-    """Oracle of the tensor line ``left(n) x right(m)``, capped before either is built.
-
-    The product's size is checked before a complete factor is built; the
-    factors are checked in build order, so the refusal is the one that
-    building them would raise first.
-    """
-
-    def build(n: int, m: int) -> Graph:
-        _check_order(n, m)
-        (m1, g1), (m2, g2) = _planned(left, n), _planned(right, m)
-        _check_tensor(n, m1, m, m2)
-        return tensor(g1(), g2())
-
-    return build
-
-
-def _planned(build: Callable[[int], Graph], n: int) -> tuple[int, Callable[[], Graph]]:
-    """The size of ``build(n)`` and a thunk that returns it, refused as
-    ``build(n)`` would be; a complete graph is built only by the thunk."""
-    if build is complete_graph:
-        return _complete_size(n), lambda: complete_graph(n)
-    graph = build(n)
-    return graph.size, lambda: graph
-
-
 # ---------------------------------------------------------------------------
 # The catalog: one record per formula id, verbatim
 
@@ -364,40 +339,52 @@ _RECORDS = (
     Formula(
         "EX_TENSOR_PP",
         closed=lambda n, m: (16 * n - 38) * (16 * m - 38),
-        oracle=_tensor_line(path_graph, path_graph),
+        oracle=lambda n, m: families._product(
+            ProductKind.TENSOR, (path_graph, n), (path_graph, m)
+        ),
         grid={"n": range(4, 9), "m": range(4, 9)},
         stated=lambda n, m: n >= 4 and m >= 4,
     ),
     Formula(
         "EX_TENSOR_CC",
         closed=lambda n, m: 256 * m * n,
-        oracle=_tensor_line(cycle_graph, cycle_graph),
+        oracle=lambda n, m: families._product(
+            ProductKind.TENSOR, (cycle_graph, n), (cycle_graph, m)
+        ),
         grid={"n": range(3, 9), "m": range(3, 9)},
     ),
     Formula(
         "EX_TENSOR_KK",
         closed=lambda n, m: m * n * (m - 1) ** 4 * (n - 1) ** 4,
-        oracle=_tensor_line(complete_graph, complete_graph),
+        oracle=lambda n, m: families._product(
+            ProductKind.TENSOR, (complete_graph, n), (complete_graph, m)
+        ),
         grid={"n": range(3, 9), "m": range(3, 9)},
     ),
     Formula(
         "EX_TENSOR_PC",
         closed=lambda n, m: 16 * m * (16 * n - 38),
-        oracle=_tensor_line(path_graph, cycle_graph),
+        oracle=lambda n, m: families._product(
+            ProductKind.TENSOR, (path_graph, n), (cycle_graph, m)
+        ),
         grid={"n": range(4, 9), "m": range(3, 9)},
         stated=lambda n, m: n >= 4,
     ),
     Formula(
         "EX_TENSOR_PK",
         closed=lambda n, m: m * (m - 1) ** 4 * (16 * n - 38),
-        oracle=_tensor_line(path_graph, complete_graph),
+        oracle=lambda n, m: families._product(
+            ProductKind.TENSOR, (path_graph, n), (complete_graph, m)
+        ),
         grid={"n": range(4, 9), "m": range(3, 9)},
         stated=lambda n, m: n >= 4,
     ),
     Formula(
         "EX_TENSOR_CK",
         closed=lambda n, m: 16 * m * n * (m - 1) ** 4,
-        oracle=_tensor_line(cycle_graph, complete_graph),
+        oracle=lambda n, m: families._product(
+            ProductKind.TENSOR, (cycle_graph, n), (complete_graph, m)
+        ),
         grid={"n": range(3, 9), "m": range(3, 9)},
     ),
     Formula(

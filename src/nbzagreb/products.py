@@ -30,12 +30,13 @@ contract is distinct pairs ``(x, y)`` with ``0 <= x < y < n1*n2``.  With
   ``(a, b)`` once per edge of ``G1``;
 * no pair is both inside one block and between two blocks.
 
-Before it builds any pair, each kind works out its order and its size
-(edge count) from the factors, with ``m1``, ``m2`` the factor sizes:
-cartesian ``n1*m2 + n2*m1``, tensor ``2*m1*m2``, wreath ``m1*n2**2 + n1*m2``.
-It refuses an order over :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP` or a
-size over :data:`~nbzagreb.graphs.DEFAULT_EDGE_CAP` with
-:class:`SizeOverflowError`.
+Before it builds any pair, each kind passes its factors' orders and sizes
+to ``_check_product``, the one copy of each kind's edge count.  It refuses
+an order over :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP` or a size over
+:data:`~nbzagreb.graphs.DEFAULT_EDGE_CAP` with :class:`SizeOverflowError`,
+order first.  The product families of :mod:`nbzagreb.families` call it on
+sizes worked out from their parameters, so they refuse a product of
+complete graphs before any factor is built.
 
 Each product kind obeys a per-vertex law for the neighbour-degree sum of
 the constructed graph; :func:`delta_law_check` verifies it exhaustively.
@@ -57,22 +58,18 @@ class ProductKind(enum.Enum):
     WREATH = "wreath"
 
 
-def _check_product(order: int, size: int) -> None:
-    _check_cap("product order", order)
+def _check_product(kind: ProductKind, n1: int, m1: int, n2: int, m2: int) -> tuple[int, int]:
+    """Refuse the ``kind`` product of factors of orders n1, n2 and sizes m1, m2
+    as building it would; return its order and size."""
+    if kind is ProductKind.CARTESIAN:
+        size = n1 * m2 + n2 * m1
+    elif kind is ProductKind.TENSOR:
+        size = 2 * m1 * m2
+    else:
+        size = m1 * n2 * n2 + n1 * m2
+    _check_cap("product order", n1 * n2)
     _check_cap("product size", size, edges=True)
-
-
-def _check_cartesian(n1: int, m1: int, n2: int, m2: int) -> tuple[int, int]:
-    """Refuse the cartesian product of factors of orders n1, n2 and sizes
-    m1, m2 as :func:`cartesian` would; return its order and size."""
-    order, size = n1 * n2, n1 * m2 + n2 * m1
-    _check_product(order, size)
-    return order, size
-
-
-def _check_tensor(n1: int, m1: int, n2: int, m2: int) -> None:
-    """Refuse the tensor product of such factors as :func:`tensor` would."""
-    _check_product(n1 * n2, 2 * m1 * m2)
+    return n1 * n2, size
 
 
 def _blocks(n1: int, n2: int) -> list[list[int]]:
@@ -86,7 +83,7 @@ def _blocks(n1: int, n2: int) -> list[list[int]]:
 
 def cartesian(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_cartesian(n1, G1.size, n2, G2.size)
+    _check_product(ProductKind.CARTESIAN, n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
     edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
     edges += [pair for u1, u2 in G1.edges for pair in zip(blocks[u1], blocks[u2])]
@@ -95,7 +92,7 @@ def cartesian(G1: Graph, G2: Graph) -> Graph:
 
 def tensor(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_tensor(n1, G1.size, n2, G2.size)
+    _check_product(ProductKind.TENSOR, n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
     arcs = [*G2.edges, *[(v2, v1) for v1, v2 in G2.edges]]
     edges = [
@@ -108,7 +105,7 @@ def tensor(G1: Graph, G2: Graph) -> Graph:
 
 def wreath(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_product(n1 * n2, G1.size * n2 * n2 + n1 * G2.size)
+    _check_product(ProductKind.WREATH, n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
     edges = [(x, y) for u1, u2 in G1.edges for x in blocks[u1] for y in blocks[u2]]
     edges += [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]

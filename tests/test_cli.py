@@ -449,6 +449,20 @@ class TestUsage:
     def test_missing_index(self, capsys):
         assert run(capsys, "compute", "--family", "path", "--n", "3")[0] == 1
 
+    @pytest.mark.parametrize("sizes", [",", "", " , "])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "hamming", "--index", "MN"),
+            # an empty list must not fall back to the default grid
+            ("verify", "--formula", "HAMMING"),
+        ],
+    )
+    def test_empty_sizes_is_usage_error(self, capsys, argv, sizes):
+        code, out, err = run(capsys, *argv, "--sizes", sizes)
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: argument --sizes: no sizes in {sizes!r}\n")
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import inspect
 import itertools
@@ -241,8 +242,9 @@ class TestCaps:
         assert peak < 1 << 20
 
     def test_complete_products_refuse_as_building_in_order_would(self, monkeypatch):
-        """Under lowered caps, the refusal is the first that building every
-        factor in order and then each product of the fold would raise."""
+        """Under lowered caps, every product family and tensor line gives the
+        graph or the first refusal that building every factor in order and
+        then each product of the fold would give."""
 
         def outcome(build, *args):
             try:
@@ -250,22 +252,45 @@ class TestCaps:
             except ValueError as exc:
                 return type(exc), str(exc)
 
-        def rook_built(m, n):
-            families._check_order(m, n)
-            return cartesian(complete_graph(m), complete_graph(n))
+        P, C, K = path_graph, cycle_graph, complete_graph
+
+        def built(fold, *factors):
+            families._check_order(*[n for _, n in factors])
+            return functools.reduce(fold, [build(n) for build, n in factors])
 
         def hamming_built(sizes):
             families._check_factor_count(len(sizes))
-            families._check_order(*sizes)
-            return cartesian_n([complete_graph(s) for s in sizes])
+            return built(cartesian, *[(K, s) for s in sizes])
 
-        factors = {"P": path_graph, "C": cycle_graph, "K": complete_graph}
+        def hypercube_built(m):
+            if m < 1:
+                raise ValueError(f"hypercube dimension must be >= 1, got {m}")
+            return hamming_built([2] * m)
 
-        def tensor_built(line, n, m):
-            families._check_order(n, m)
-            return tensor(factors[line[0]](n), factors[line[1]](m))
-
-        lines = ("PP", "CC", "KK", "PC", "PK", "CK")
+        # (family, the same built in order) for family(n) and for family(m, n)
+        one_parameter = [
+            (families.ladder, lambda n: built(cartesian, (P, 2), (P, n + 1))),
+            (families.prism, lambda n: built(cartesian, (K, 2), (C, n))),
+            (families.hypercube, hypercube_built),
+            (families.fence, lambda n: built(wreath, (P, n), (P, 2))),
+            (families.closed_fence, lambda n: built(wreath, (C, n), (P, 2))),
+        ]
+        two_parameters = [
+            (families.rook, lambda m, n: built(cartesian, (K, m), (K, n))),
+            (families.grid, lambda m, n: built(cartesian, (P, m), (P, n))),
+            (families.nanotube, lambda m, n: built(cartesian, (P, n), (C, m))),
+            (families.nanotorus, lambda m, n: built(cartesian, (C, m), (C, n))),
+            # the complete factor first: it is sized before the path is built
+            (lambda n, m: families._product(ProductKind.TENSOR, (K, n), (P, m)),
+             lambda n, m: built(tensor, (K, n), (P, m))),
+        ]
+        factors = {"P": P, "C": C, "K": K}
+        for line in ("PP", "CC", "KK", "PC", "PK", "CK"):
+            left, right = factors[line[0]], factors[line[1]]
+            two_parameters.append((
+                CATALOG[f"EX_TENSOR_{line}"].oracle,
+                lambda n, m, left=left, right=right: built(tensor, (left, n), (right, m)),
+            ))
         size_lists = [
             list(sizes) for k in (1, 2, 3) for sizes in itertools.product(range(2, 6), repeat=k)
         ]
@@ -274,14 +299,13 @@ class TestCaps:
             monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", vertex_cap)
             monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_EDGE_CAP", edge_cap)
             for m in range(-4, 9):
+                for family, reference in one_parameter:
+                    assert outcome(family, m) == outcome(reference, m), (family, m)
                 for n in range(-4, 9):
+                    for family, reference in two_parameters:
+                        assert outcome(family, m, n) == outcome(reference, m, n), (family, m, n)
                     got = outcome(families.rook, m, n)
-                    assert got == outcome(rook_built, m, n), (m, n)
                     seen.add(re.sub(r"-?\d+", "N", got[1]) if isinstance(got, tuple) else "built")
-                    for line in lines:
-                        assert outcome(CATALOG[f"EX_TENSOR_{line}"].oracle, n, m) == outcome(
-                            tensor_built, line, n, m
-                        ), (line, n, m)
             for sizes in size_lists:
                 assert outcome(families.hamming, sizes) == outcome(hamming_built, sizes), sizes
         # rook alone reaches built graphs and every refusal on the way
