@@ -83,19 +83,30 @@ def _decimal(value: int) -> str:
     return _decimal(high) + _decimal(low).zfill(digits)
 
 
+def _int(text: str) -> int:
+    """argparse type: an integer; a bad one gets argparse's own ``int`` wording."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_int_range(text: str) -> list[int]:
     """Either one integer or an inclusive range ``A..B``."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        try:
+            values = list(range(_int(lo), _int(hi) + 1))
+        except OverflowError:
+            raise argparse.ArgumentTypeError(f"range {text!r} is too long") from None
         if not values:
-            raise ValueError(f"empty range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return values
-    return [int(text)]
+    return [_int(text)]
 
 
 def _parse_sizes(text: str) -> list[int]:
-    sizes = [int(tok) for tok in text.split(",") if tok.strip()]
+    sizes = [_int(tok.strip()) for tok in text.split(",") if tok.strip()]
     if not sizes:
         raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
     return sizes
@@ -105,10 +116,7 @@ def _int_at_least(minimum: int):
     """argparse type: an integer no smaller than ``minimum``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value

@@ -29,9 +29,9 @@ allocating anything of the refused size.
 Prodinger and Tichy 1982), found by one BFS over ``G.adjacency``:
 
 * A tree component (k vertices, k - 1 edges) goes through a linear DP
-  over its BFS order: per vertex, the count of its subtree with the
-  vertex matched or unmatched (``Z``), or in or out of the set
-  (``SIGMA``).  Time O(k) big-integer operations, no budget.
+  over its BFS order: per vertex, the count of its subtree without the
+  vertex (unmatched for ``Z``, out of the set for ``SIGMA``) and with it
+  (matched; in the set).  Time O(k) big-integer operations, no budget.
 * A component with a cycle is relabelled to 0..k-1 in vertex order and
   counted by the memoised bitmask recursion, branching on its
   lowest-index vertex: ``Z(G) = Z(G - v) + sum Z(G - v - u)`` over the
@@ -82,8 +82,6 @@ from array import array
 from fractions import Fraction
 
 from .graphs import Graph
-
-INDEX_IDS = ("M1", "M2", "MN", "F", "Z", "SIGMA", "CHI", "HARARY")
 
 #: The order above which Z and SIGMA used to be refused outright.  No
 #: library code reads it any more; :data:`COUNTING_STATE_BUDGET` replaced it.
@@ -264,24 +262,7 @@ def hosoya(G: Graph) -> int:
     Multiplies over components; see the module docstring for the tree DP,
     the bitmask recursion and :data:`COUNTING_STATE_BUDGET`.
     """
-    parent, components = _components(G, "Z")
-    free = [1] * G.order  # matchings of v's subtree that leave v unmatched
-    matched = [0] * G.order  # ... and those that match v
-    total = 1
-    for order, cyclic in components:
-        if cyclic:
-            total *= _count_cyclic(G, order, "Z")
-            continue
-        for c in order[:0:-1]:
-            p = parent[c]
-            t = free[c] + matched[c]
-            matched[p] = matched[p] * t + free[p] * free[c]
-            free[p] *= t
-            # a folded subtree's counts are dropped: holding every
-            # vertex's count would take memory quadratic in a long path
-            free[c] = matched[c] = 0
-        total *= free[order[0]] + matched[order[0]]
-    return total
+    return _count(G, "Z")
 
 
 def merrifield_simmons(G: Graph) -> int:
@@ -290,20 +271,32 @@ def merrifield_simmons(G: Graph) -> int:
     Multiplies over components; see the module docstring for the tree DP,
     the bitmask recursion and :data:`COUNTING_STATE_BUDGET`.
     """
-    parent, components = _components(G, "SIGMA")
-    inside = [1] * G.order  # independent sets of v's subtree that hold v
-    outside = [1] * G.order  # ... and those that do not
+    return _count(G, "SIGMA")
+
+
+def _count(G: Graph, index_id: str) -> int:
+    """Z or SIGMA: the one component loop of both indices."""
+    parent, components = _components(G, index_id)
+    matching = index_id == "Z"
+    without = [1] * G.order  # v's subtree without v (unmatched; not in the set)
+    with_v = [int(not matching)] * G.order  # ... and with v (matched; in the set)
     total = 1
     for order, cyclic in components:
         if cyclic:
-            total *= _count_cyclic(G, order, "SIGMA")
+            total *= _count_cyclic(G, order, index_id)
             continue
         for c in order[:0:-1]:
             p = parent[c]
-            inside[p] *= outside[c]
-            outside[p] *= inside[c] + outside[c]
-            inside[c] = outside[c] = 0  # dropped, as in hosoya
-        total *= inside[order[0]] + outside[order[0]]
+            t = without[c] + with_v[c]
+            if matching:
+                with_v[p] = with_v[p] * t + without[p] * without[c]
+            else:
+                with_v[p] *= without[c]
+            without[p] *= t
+            # a folded subtree's counts are dropped: holding every
+            # vertex's count would take memory quadratic in a long path
+            without[c] = with_v[c] = 0
+        total *= without[order[0]] + with_v[order[0]]
     return total
 
 
@@ -469,6 +462,8 @@ _DISPATCH = {
     "CHI": randic,
     "HARARY": harary,
 }
+
+INDEX_IDS = tuple(_DISPATCH)
 
 
 def compute_index(G: Graph, index_id: str) -> int | Fraction | float:

@@ -463,6 +463,31 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.endswith(f"error: argument --sizes: no sizes in {sizes!r}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--formula", "HAMMING", "--sizes", "2,x"),
+             "argument --sizes: invalid int value: 'x'"),
+            (("compute", "--family", "hamming", "--index", "MN", "--sizes", "3, 4.5"),
+             "argument --sizes: invalid int value: '4.5'"),
+            (("verify", "--formula", "EX_GRID", "--m", "x"),
+             "argument --m: invalid int value: 'x'"),
+            (("verify", "--formula", "EX_LADDER", "--n", "3..x"),
+             "argument --n: invalid int value: 'x'"),
+            (("verify", "--formula", "EX_LADDER", "--n", "5..3"),
+             "argument --n: empty range '5..3'"),
+            # a range longer than any list is refused, not a traceback
+            (("verify", "--formula", "EX_LADDER", "--n", f"1..{10 ** 20}"),
+             f"argument --n: range '1..{10 ** 20}' is too long"),
+        ],
+        ids=["sizes", "sizes-float", "int", "range-end", "empty-range", "long-range"],
+    )
+    def test_bad_value_names_itself(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: {message}\n")
+        assert "_parse" not in err
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -235,6 +235,31 @@ class TestCountingBudget:
         monkeypatch.undo()
         assert hosoya(complete_graph(12)) == 140152
 
+    @pytest.mark.parametrize(
+        "graph, z_budget, sigma_budget",
+        [
+            pytest.param(complete_graph(12), 382, 24, id="K12"),
+            pytest.param(cycle_graph(60), 176, 177, id="C60"),
+            pytest.param(families.hypercube(4), 659, 133, id="Q4"),
+            pytest.param(families.grid(4, 5), 230, 111, id="grid4x5"),
+            pytest.param(families.prism(7), 271, 99, id="prism7"),
+        ],
+    )
+    @pytest.mark.parametrize("count, index_id", [(hosoya, "Z"), (merrifield_simmons, "SIGMA")])
+    def test_budget_boundary(self, monkeypatch, graph, z_budget, sigma_budget, count, index_id):
+        # the smallest budget that answers: masks plus memoised states, exactly
+        budget = z_budget if index_id == "Z" else sigma_budget
+        value = count(graph)
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", budget)
+        assert count(graph) == value
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", budget - 1)
+        with pytest.raises(TooLargeError) as exc:
+            count(graph)
+        assert str(exc.value) == (
+            f"{index_id} exceeds the counting budget of {budget - 1} mask words "
+            f"on a component with a cycle and at least {graph.order} vertices"
+        )
+
     @pytest.mark.parametrize("count, index_id", [(hosoya, "Z"), (merrifield_simmons, "SIGMA")])
     def test_masks_refused_before_they_exist(self, monkeypatch, count, index_id):
         # 130 vertices in a cycle need 130 * 3 mask words; the forest

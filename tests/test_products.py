@@ -450,6 +450,22 @@ class TestDeltaLaws:
             for kind in ProductKind:
                 assert delta_law_check(g1, g2, kind), (g1.edges, g2.edges, kind)
 
+    @pytest.mark.parametrize(
+        "kind, wrong",
+        [
+            # each drops or changes one term that is nonzero on P3 and C4
+            (ProductKind.CARTESIAN, lambda s1, d1, s2, d2, n2, e2: s1 + s2),
+            (ProductKind.TENSOR, lambda s1, d1, s2, d2, n2, e2: s1 + s2),
+            (ProductKind.WREATH,
+             lambda s1, d1, s2, d2, n2, e2: n2 * n2 * s1 + s2 + n2 * d1 * d2),
+        ],
+    )
+    def test_wrong_law_fails(self, monkeypatch, kind, wrong):
+        g1, g2 = path_graph(3), cycle_graph(4)
+        assert delta_law_check(g1, g2, kind)
+        monkeypatch.setitem(nbzagreb.products._DELTA_LAWS, kind, wrong)
+        assert not delta_law_check(g1, g2, kind)
+
 
 class TestNaryZagrebLaws:
     """M1 and M2 of n-ary cartesian products against the tuple-sum formulas."""
