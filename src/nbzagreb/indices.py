@@ -32,14 +32,21 @@ Prodinger and Tichy 1982), found by one BFS over ``G.adjacency``:
   over its BFS order: per vertex, the count of its subtree without the
   vertex (unmatched for ``Z``, out of the set for ``SIGMA``) and with it
   (matched; in the set).  Time O(k) big-integer operations, no budget.
-* A component with a cycle is relabelled to 0..k-1 in vertex order and
-  counted by the memoised bitmask recursion, branching on its
-  lowest-index vertex: ``Z(G) = Z(G - v) + sum Z(G - v - u)`` over the
-  neighbours u of the lowest v that has one, and
-  ``SIGMA(G) = SIGMA(G - v) + SIGMA(G - N[v])``.  The recursion runs on
-  an explicit stack, so depth costs no interpreter frames.  Its cost is
-  the number of memoised states, which depends on the component's shape
-  and labelling rather than its order.
+* A component with a cycle is relabelled to 0..k-1 and counted by the
+  memoised bitmask recursion, branching on its lowest-index vertex:
+  ``Z(G) = Z(G - v) + sum Z(G - v - u)`` over the neighbours u of the
+  lowest v that has one, and ``SIGMA(G) = SIGMA(G - v) + SIGMA(G - N[v])``.
+  The recursion runs on an explicit stack, so depth costs no interpreter
+  frames.  Its cost is the number of memoised states, which depends on
+  the component's shape and labelling rather than its order: at depth i
+  it memoises at most 2**b_i masks, where b_i counts the vertices at
+  positions >= i with a neighbour before i.  The labels follow whichever
+  of three orders has the least sum of 2**b_i, vertex order on a tie:
+  vertex order, the component's BFS order, and a BFS from that order's
+  last vertex (the second sweep of a double sweep, as in the
+  transfer-matrix method on strips; Calkin and Wilf, SIAM J. Discrete
+  Math. 11 (1998) 54-60).  Choosing takes O(k + edges) operations on
+  k-bit masks.
 
 :data:`COUNTING_STATE_BUDGET` bounds that recursion in 64-bit mask words,
 the unit its memory grows by: the k neighbour masks of a k-vertex
@@ -80,6 +87,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from operator import sub
 
 from .graphs import Graph
 
@@ -283,7 +291,7 @@ def _count(G: Graph, index_id: str) -> int:
     total = 1
     for order, cyclic in components:
         if cyclic:
-            total *= _count_cyclic(G, order, index_id)
+            total *= _count_cyclic(G, order, parent, index_id)
             continue
         for c in order[:0:-1]:
             p = parent[c]
@@ -368,10 +376,14 @@ def _refuse_large_cycles(G: Graph, index_id: str) -> None:
             raise _over_budget(index_id, k)
 
 
-def _count_cyclic(G: Graph, vertices: list[int], index_id: str) -> int:
+def _count_cyclic(G: Graph, vertices: list[int], parent: list, index_id: str) -> int:
     """Z or SIGMA of one component by the memoised bitmask recursion.
 
-    The component is relabelled to 0..k-1 in vertex order.  Frames on the
+    The component comes in BFS order, with BFS ``parent`` links.  It is
+    relabelled to 0..k-1 in whichever of vertex order, that BFS order and a
+    BFS from its last vertex has the least sum of 2**b_i, vertex order on a
+    tie; b_i counts the vertices at positions >= i with a neighbour before
+    i, and 2**b_i bounds the masks memoised at depth i.  Frames on the
     explicit stack are ``[mask, child masks, next child, partial sum]``; a
     mask whose split is ``None`` counts 1 and is not memoised.
     """
@@ -380,15 +392,7 @@ def _count_cyclic(G: Graph, vertices: list[int], index_id: str) -> int:
     spent = k * words
     if spent > COUNTING_STATE_BUDGET:
         raise _over_budget(index_id, k)
-    vertices = sorted(vertices)
-    label = {v: i for i, v in enumerate(vertices)}
-    adj = G.adjacency
-    masks = []
-    for v in vertices:
-        mask = 0
-        for u in adj[v]:
-            mask |= 1 << label[u]
-        masks.append(mask)
+    _, masks = _ordered_masks(G.adjacency, vertices, parent)
     split = _matching_split if index_id == "Z" else _independent_split
 
     # a component with a cycle has an edge, so the root always splits
@@ -419,6 +423,69 @@ def _count_cyclic(G: Graph, vertices: list[int], index_id: str) -> int:
         frame[3] = total
         stack.append([child, grandkids, 0, 0])
     return memo[root]
+
+
+def _ordered_masks(adj, bfs: list[int], parent: list) -> tuple[list[int], list[int]]:
+    """:func:`_count_cyclic`'s order of one component, and its neighbour masks.
+
+    Once the recursion has decided the vertices before position i, the
+    undecided ones it has removed lie among the b_i that have a neighbour
+    before i, so it memoises at most 2**b_i masks at that depth.  Vertex
+    order's b_i come from its masks.  In a BFS order, ``found[i]`` vertices
+    are found from positions 0..i, so b_{i+1} = found[i] - (i + 1).  Time
+    O(k + edges) operations on k-bit masks; the masks are built a second
+    time only when a BFS order is cheaper.
+    """
+    k = len(bfs)
+    order = by_vertex = sorted(bfs)
+    masks = _masks(adj, by_vertex)
+    reached = best = 0
+    for i, mask in enumerate(masks, 1):
+        reached |= mask
+        best += 1 << (reached >> i).bit_count()  # b_k = 0 stands in for b_0
+    # a root is its own parent, and the children of each position of a BFS
+    # order follow it in one block
+    found = []
+    j = 1
+    for v in bfs:
+        while j < k and parent[bfs[j]] == v:
+            j += 1
+        found.append(j)
+    cost = _bfs_cost(found)
+    if cost < best:
+        best, order = cost, bfs
+    sweep = [bfs[-1]]
+    seen = {bfs[-1]}
+    found = []
+    for v in sweep:
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                sweep.append(u)
+        found.append(len(sweep))
+    if _bfs_cost(found) < best:
+        order = sweep
+    if order is by_vertex:
+        return order, masks
+    return order, _masks(adj, order)
+
+
+def _masks(adj, order: list[int]) -> list[int]:
+    """Neighbour masks of one component relabelled to its positions in ``order``."""
+    label = dict(zip(order, range(len(order))))
+    masks = []
+    for v in order:
+        mask = 0
+        for u in adj[v]:
+            mask |= 1 << label[u]
+        masks.append(mask)
+    return masks
+
+
+def _bfs_cost(found: list[int]) -> int:
+    """Sum of 2**b_i of a BFS order (see :func:`_ordered_masks`); the last
+    term, 2**b_k = 1, stands in for 2**b_0."""
+    return sum(map((1).__lshift__, map(sub, found, range(1, len(found) + 1))))
 
 
 def _matching_split(mask: int, masks: list[int]) -> list[int] | None:

@@ -59,12 +59,17 @@ class ProductKind(enum.Enum):
     WREATH = "wreath"
 
 
+# a member read goes through the enum class's slow attribute path (about
+# 0.2 us on CPython 3.11), so per-call code reads these names instead
+_CARTESIAN, _TENSOR, _WREATH = ProductKind.CARTESIAN, ProductKind.TENSOR, ProductKind.WREATH
+
+
 def _check_product(kind: ProductKind, n1: int, m1: int, n2: int, m2: int) -> tuple[int, int]:
     """Refuse the ``kind`` product of factors of orders n1, n2 and sizes m1, m2
     as building it would; return its order and size."""
-    if kind is ProductKind.CARTESIAN:
+    if kind is _CARTESIAN:
         size = n1 * m2 + n2 * m1
-    elif kind is ProductKind.TENSOR:
+    elif kind is _TENSOR:
         size = 2 * m1 * m2
     else:
         size = m1 * n2 * n2 + n1 * m2
@@ -84,7 +89,7 @@ def _blocks(n1: int, n2: int) -> list[list[int]]:
 
 def cartesian(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_product(ProductKind.CARTESIAN, n1, G1.size, n2, G2.size)
+    _check_product(_CARTESIAN, n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
     edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
     edges += [pair for u1, u2 in G1.edges for pair in zip(blocks[u1], blocks[u2])]
@@ -93,7 +98,7 @@ def cartesian(G1: Graph, G2: Graph) -> Graph:
 
 def tensor(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_product(ProductKind.TENSOR, n1, G1.size, n2, G2.size)
+    _check_product(_TENSOR, n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
     arcs = [*G2.edges, *[(v2, v1) for v1, v2 in G2.edges]]
     edges = [
@@ -106,7 +111,7 @@ def tensor(G1: Graph, G2: Graph) -> Graph:
 
 def wreath(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_product(ProductKind.WREATH, n1, G1.size, n2, G2.size)
+    _check_product(_WREATH, n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
     edges = [(x, y) for u1, u2 in G1.edges for x in blocks[u1] for y in blocks[u2]]
     edges += [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
