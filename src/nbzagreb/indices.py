@@ -25,8 +25,15 @@ other two kinds are counted by algorithm and bounded by a budget, a
 module constant; past it they raise :class:`TooLargeError` before
 allocating anything of the refused size.
 
+Z, SIGMA and HARARY share one traversal.  Each component is walked by one
+BFS from its lowest vertex.  Its *second sweep* is a BFS from the last
+vertex of that order, a vertex farthest from the first root: a double
+sweep, as in the transfer-matrix method on strips (Calkin and Wilf, SIAM
+J. Discrete Math. 11 (1998) 54-60).  The second sweep's depth is at least
+half the component's diameter and at most all of it.
+
 ``Z`` and ``SIGMA`` multiply over connected components (Hosoya 1971;
-Prodinger and Tichy 1982), found by one BFS over ``G.adjacency``:
+Prodinger and Tichy 1982):
 
 * A tree component (k vertices, k - 1 edges) goes through a linear DP
   over its BFS order: per vertex, the count of its subtree without the
@@ -42,11 +49,8 @@ Prodinger and Tichy 1982), found by one BFS over ``G.adjacency``:
   it memoises at most 2**b_i masks, where b_i counts the vertices at
   positions >= i with a neighbour before i.  The labels follow whichever
   of three orders has the least sum of 2**b_i, vertex order on a tie:
-  vertex order, the component's BFS order, and a BFS from that order's
-  last vertex (the second sweep of a double sweep, as in the
-  transfer-matrix method on strips; Calkin and Wilf, SIAM J. Discrete
-  Math. 11 (1998) 54-60).  Choosing takes O(k + edges) operations on
-  k-bit masks.
+  vertex order, the component's BFS order and its second sweep.
+  Choosing takes O(k + edges) operations on k-bit masks.
 
 :data:`COUNTING_STATE_BUDGET` bounds that recursion in 64-bit mask words,
 the unit its memory grows by: the k neighbour masks of a k-vertex
@@ -72,14 +76,13 @@ Two kernels fill the same exact histogram:
   at most about 3 * order**2 / 8 bytes (about 18 MB at order 7071, the
   largest the budget admits).
 
-A double-sweep BFS per component (from its first vertex, then from the
-farthest vertex found) gives a diameter estimate L, at least half the
-largest component diameter.  The bitset kernel runs when 4 * L < order,
-per-source BFS otherwise: on paths, cycles, ladders and long spiders the
-bitsets' levels cost more than the sources they share.
-:data:`HARARY_WORK_BUDGET` bounds order * (order + size), the per-source
-BFS steps, which is an upper bound for both kernels; it is checked before
-the adjacency is read or any BFS runs.
+The deepest second sweep over the components gives a diameter estimate L,
+at least half the largest component diameter.  The bitset kernel runs
+when 4 * L < order, per-source BFS otherwise: on paths, cycles, ladders
+and long spiders the bitsets' levels cost more than the sources they
+share.  :data:`HARARY_WORK_BUDGET` bounds order * (order + size), the
+per-source BFS steps, which is an upper bound for both kernels; it is
+checked before the adjacency is read or any BFS runs.
 """
 
 from __future__ import annotations
@@ -87,7 +90,6 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from operator import sub
 
 from .graphs import Graph
 
@@ -173,34 +175,54 @@ def _distance_histogram(G: Graph) -> list[int]:
 
 
 def _diameter_estimate(G: Graph) -> int:
-    """Largest double-sweep eccentricity over the components of ``G``."""
+    """Depth of the deepest second sweep over the components of ``G``."""
     adj = G.adjacency
-    mark = [-1] * G.order  # mark[v] == stamp: v reached by that sweep
+    mark, components = _components(adj)
     estimate = 0
-    for r in range(G.order):
-        if mark[r] == -1:
-            far, _ = _sweep(adj, r, mark, 2 * r)
-            _, depth = _sweep(adj, far, mark, 2 * r + 1)
-            estimate = max(estimate, depth)
+    for order, _ in components:
+        _, up = _second_sweep(adj, order, mark)
+        j, depth = len(up) - 1, 0
+        while j:
+            j = up[j]
+            depth += 1
+        estimate = max(estimate, depth)
     return estimate
 
 
-def _sweep(adj, root: int, mark: list[int], stamp: int) -> tuple[int, int]:
-    """BFS from ``root``: a farthest vertex and its distance."""
+def _bfs(adj, root: int, mark: list[int], stamp: int) -> tuple[list[int], list[int]]:
+    """BFS order of ``root``'s component, and ``up``: position j was found
+    by the vertex at position ``up[j]`` (``up[0] == 0``).
+
+    Sets ``mark[v] = stamp`` on every vertex reached; a vertex already
+    marked with ``stamp`` counts as reached.
+    """
     mark[root] = stamp
-    frontier = [root]
-    depth = 0
-    while True:
-        layer = []
-        for v in frontier:
-            for u in adj[v]:
-                if mark[u] != stamp:
-                    mark[u] = stamp
-                    layer.append(u)
-        if not layer:
-            return frontier[0], depth
-        frontier = layer
-        depth += 1
+    order = [root]
+    up = [0]
+    for i, v in enumerate(order):
+        for u in adj[v]:
+            if mark[u] != stamp:
+                mark[u] = stamp
+                order.append(u)
+                up.append(i)
+    return order, up
+
+
+def _components(adj) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    """``(mark, [(order, up), ...])``: one :func:`_bfs` per component, from
+    its lowest vertex s with stamp 2 * s."""
+    mark = [-1] * len(adj)
+    components = []
+    for s in range(len(adj)):
+        if mark[s] == -1:
+            components.append(_bfs(adj, s, mark, 2 * s))
+    return mark, components
+
+
+def _second_sweep(adj, order: list[int], mark: list[int]) -> tuple[list[int], list[int]]:
+    """:func:`_bfs` from the last vertex of a :func:`_components` order, with
+    stamp 2 * s + 1; once per component, since it leaves that stamp set."""
+    return _bfs(adj, order[-1], mark, 2 * order[0] + 1)
 
 
 def _bitset_histogram(G: Graph) -> list[int]:
@@ -283,18 +305,33 @@ def merrifield_simmons(G: Graph) -> int:
 
 
 def _count(G: Graph, index_id: str) -> int:
-    """Z or SIGMA: the one component loop of both indices."""
-    parent, components = _components(G, index_id)
+    """Z or SIGMA: the one component loop of both indices.
+
+    Runs the union-find pre-check first when ``G`` is large enough for one
+    component's masks to exceed the budget.
+    """
+    n = G.order
+    if n * _mask_words(n) > COUNTING_STATE_BUDGET:
+        _refuse_large_cycles(G, index_id)
+    adj = G.adjacency
+    deg = G.degrees()
+    mark, components = _components(adj)
+    # a component is a tree iff its degrees sum to 2 (k - 1); all are
+    # when there are order - size components
+    forest = len(components) == n - G.size
     matching = index_id == "Z"
-    without = [1] * G.order  # v's subtree without v (unmatched; not in the set)
-    with_v = [int(not matching)] * G.order  # ... and with v (matched; in the set)
     total = 1
-    for order, cyclic in components:
-        if cyclic:
-            total *= _count_cyclic(G, order, parent, index_id)
+    for order, up in components:
+        k = len(order)
+        if not forest and sum(map(deg.__getitem__, order)) > 2 * k - 2:
+            total *= _count_cyclic(adj, order, up, mark, index_id)
             continue
-        for c in order[:0:-1]:
-            p = parent[c]
+        # per position c, its subtree without order[c] (unmatched; not in
+        # the set) and with it (matched; in the set); c folds into up[c]
+        without = [1] * k
+        with_v = [int(not matching)] * k
+        for c in range(k - 1, 0, -1):
+            p = up[c]
             t = without[c] + with_v[c]
             if matching:
                 with_v[p] = with_v[p] * t + without[p] * without[c]
@@ -304,7 +341,7 @@ def _count(G: Graph, index_id: str) -> int:
             # a folded subtree's counts are dropped: holding every
             # vertex's count would take memory quadratic in a long path
             without[c] = with_v[c] = 0
-        total *= without[order[0]] + with_v[order[0]]
+        total *= without[0] + with_v[0]
     return total
 
 
@@ -318,34 +355,6 @@ def _over_budget(index_id: str, k: int) -> TooLargeError:
         f"{index_id} exceeds the counting budget of {COUNTING_STATE_BUDGET} "
         f"mask words on a component with a cycle and at least {k} vertices"
     )
-
-
-def _components(G: Graph, index_id: str):
-    """BFS forest of ``G``: ``(parent, [(bfs order, has a cycle), ...])``.
-
-    A root is its own parent.  Runs the union-find pre-check first when
-    ``G`` is large enough for one component's masks to exceed the budget.
-    """
-    n = G.order
-    if n * _mask_words(n) > COUNTING_STATE_BUDGET:
-        _refuse_large_cycles(G, index_id)
-    adj = G.adjacency
-    deg = G.degrees()
-    parent: list[int | None] = [None] * n
-    components = []
-    for s in range(n):
-        if parent[s] is not None:
-            continue
-        parent[s] = s
-        order = [s]
-        for v in order:
-            for u in adj[v]:
-                if parent[u] is None:
-                    parent[u] = v
-                    order.append(u)
-        # a component is a tree iff its degrees sum to 2 (k - 1)
-        components.append((order, sum(map(deg.__getitem__, order)) > 2 * len(order) - 2))
-    return parent, components
 
 
 def _refuse_large_cycles(G: Graph, index_id: str) -> None:
@@ -376,23 +385,25 @@ def _refuse_large_cycles(G: Graph, index_id: str) -> None:
             raise _over_budget(index_id, k)
 
 
-def _count_cyclic(G: Graph, vertices: list[int], parent: list, index_id: str) -> int:
+def _count_cyclic(adj, vertices: list[int], up: list[int], mark: list[int],
+                  index_id: str) -> int:
     """Z or SIGMA of one component by the memoised bitmask recursion.
 
-    The component comes in BFS order, with BFS ``parent`` links.  It is
-    relabelled to 0..k-1 in whichever of vertex order, that BFS order and a
-    BFS from its last vertex has the least sum of 2**b_i, vertex order on a
-    tie; b_i counts the vertices at positions >= i with a neighbour before
-    i, and 2**b_i bounds the masks memoised at depth i.  Frames on the
-    explicit stack are ``[mask, child masks, next child, partial sum]``; a
-    mask whose split is ``None`` counts 1 and is not memoised.
+    The component comes as a :func:`_bfs` order with its ``up`` links and
+    the ``mark`` list of :func:`_components`.  It is relabelled to 0..k-1
+    in whichever of vertex order, that BFS order and its second sweep has
+    the least sum of 2**b_i, vertex order on a tie; b_i counts the vertices
+    at positions >= i with a neighbour before i, and 2**b_i bounds the
+    masks memoised at depth i.  Frames on the explicit stack are
+    ``[mask, child masks, next child, partial sum]``; a mask whose split is
+    ``None`` counts 1 and is not memoised.
     """
     k = len(vertices)
     words = _mask_words(k)
     spent = k * words
     if spent > COUNTING_STATE_BUDGET:
         raise _over_budget(index_id, k)
-    _, masks = _ordered_masks(G.adjacency, vertices, parent)
+    _, masks = _ordered_masks(adj, vertices, up, mark)
     split = _matching_split if index_id == "Z" else _independent_split
 
     # a component with a cycle has an edge, so the root always splits
@@ -425,46 +436,27 @@ def _count_cyclic(G: Graph, vertices: list[int], parent: list, index_id: str) ->
     return memo[root]
 
 
-def _ordered_masks(adj, bfs: list[int], parent: list) -> tuple[list[int], list[int]]:
+def _ordered_masks(adj, bfs: list[int], up: list[int],
+                   mark: list[int]) -> tuple[list[int], list[int]]:
     """:func:`_count_cyclic`'s order of one component, and its neighbour masks.
 
     Once the recursion has decided the vertices before position i, the
     undecided ones it has removed lie among the b_i that have a neighbour
     before i, so it memoises at most 2**b_i masks at that depth.  Vertex
-    order's b_i come from its masks.  In a BFS order, ``found[i]`` vertices
-    are found from positions 0..i, so b_{i+1} = found[i] - (i + 1).  Time
-    O(k + edges) operations on k-bit masks; the masks are built a second
-    time only when a BFS order is cheaper.
+    order's b_i come from its masks, a BFS order's from its ``up`` links
+    (see :func:`_bfs_cost`).  Time O(k + edges) operations on k-bit masks;
+    the masks are built a second time only when a BFS order is cheaper.
     """
-    k = len(bfs)
     order = by_vertex = sorted(bfs)
     masks = _masks(adj, by_vertex)
     reached = best = 0
     for i, mask in enumerate(masks, 1):
         reached |= mask
         best += 1 << (reached >> i).bit_count()  # b_k = 0 stands in for b_0
-    # a root is its own parent, and the children of each position of a BFS
-    # order follow it in one block
-    found = []
-    j = 1
-    for v in bfs:
-        while j < k and parent[bfs[j]] == v:
-            j += 1
-        found.append(j)
-    cost = _bfs_cost(found)
-    if cost < best:
-        best, order = cost, bfs
-    sweep = [bfs[-1]]
-    seen = {bfs[-1]}
-    found = []
-    for v in sweep:
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                sweep.append(u)
-        found.append(len(sweep))
-    if _bfs_cost(found) < best:
-        order = sweep
+    for candidate, links in ((bfs, up), _second_sweep(adj, bfs, mark)):
+        cost = _bfs_cost(links)
+        if cost < best:
+            best, order = cost, candidate
     if order is by_vertex:
         return order, masks
     return order, _masks(adj, order)
@@ -482,10 +474,21 @@ def _masks(adj, order: list[int]) -> list[int]:
     return masks
 
 
-def _bfs_cost(found: list[int]) -> int:
-    """Sum of 2**b_i of a BFS order (see :func:`_ordered_masks`); the last
-    term, 2**b_k = 1, stands in for 2**b_0."""
-    return sum(map((1).__lshift__, map(sub, found, range(1, len(found) + 1))))
+def _bfs_cost(up: list[int]) -> int:
+    """Sum of 2**b_i of a BFS order (see :func:`_ordered_masks`).
+
+    ``up`` never decreases, so positions 0..i have found every position
+    before the first j with ``up[j] > i``, and b_{i+1} counts those past
+    i.  The last term, 2**b_k = 1, stands in for 2**b_0.
+    """
+    k = len(up)
+    cost = 0
+    found = 1
+    for i in range(k):
+        while found < k and up[found] <= i:
+            found += 1
+        cost += 1 << (found - i - 1)
+    return cost
 
 
 def _matching_split(mask: int, masks: list[int]) -> list[int] | None:

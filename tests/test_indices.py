@@ -232,10 +232,11 @@ def _bfs(g, root):
 
 def _cyclic_orders(g):
     """``(BFS order, chosen order, its masks)`` per component with a cycle."""
-    parent, components = indices._components(g, "Z")
+    mark, components = indices._components(g.adjacency)
     return [
-        (order, *indices._ordered_masks(g.adjacency, order, parent))
-        for order, cyclic in components if cyclic
+        (order, *indices._ordered_masks(g.adjacency, order, up, mark))
+        # a component has a cycle iff its degrees sum to more than 2 (k - 1)
+        for order, up in components if sum(map(g.degree, order)) > 2 * len(order) - 2
     ]
 
 
@@ -527,6 +528,48 @@ class TestHararyKernels:
         _refuse_kernel(monkeypatch, "_per_source_histogram")
         expected = sum((Fraction(2 ** 9 * math.comb(10, d), d) for d in range(1, 11)), Fraction(0))
         assert harary(families.hypercube(10)) == expected
+
+
+class TestTraversal:
+    """The one BFS of ``indices`` and its double sweep, against Floyd-Warshall."""
+
+    @given(st.one_of(graphs(max_order=14), sparse_graphs(max_order=14, max_size=20)),
+           st.randoms(use_true_random=False))
+    @example(empty_graph(1), random.Random(0))
+    @example(empty_graph(6), random.Random(0))
+    @example(Graph(7, [(0, 1), (2, 3), (3, 4), (5, 6)]), random.Random(2))
+    def test_bfs_against_floyd_warshall(self, g, rng):
+        root = rng.randrange(g.order)
+        dist = floyd_warshall(g.order, g.edges)[root]
+        mark = [-1] * g.order
+        order, up = indices._bfs(g.adjacency, root, mark, 5)
+        component = [v for v in range(g.order) if dist[v] != math.inf]
+        assert sorted(order) == component
+        assert [v for v in range(g.order) if mark[v] == 5] == component
+        assert len(up) == len(order) and up[0] == 0
+        assert all(up[j] < j for j in range(1, len(up)))
+        assert up == sorted(up)
+        assert all(g.has_edge(order[up[j]], order[j]) for j in range(1, len(up)))
+        for j, v in enumerate(order):
+            depth = 0
+            while j:
+                j = up[j]
+                depth += 1
+            assert depth == dist[v]
+
+    @given(st.one_of(graphs(max_order=14), sparse_graphs(max_order=14, max_size=20)))
+    @example(empty_graph(6))
+    @example(_spider(4, 25))
+    def test_diameter_estimate_bound(self, g):
+        # the estimate is at least half and at most all of the largest
+        # component diameter
+        dist = floyd_warshall(g.order, g.edges)
+        diameter = max(int(d) for row in dist for d in row if d != math.inf)
+        assert -(-diameter // 2) <= indices._diameter_estimate(g) <= diameter
+
+    def test_second_sweep_finds_the_spider_diameter(self):
+        # from its centre, vertex 0, the spider is only 25 deep
+        assert indices._diameter_estimate(_spider(4, 25)) == 50
 
 
 class TestComputeIndex:
