@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .alkanes import parse_alkane_name
 from .families import FAMILIES, build_family
@@ -29,6 +30,7 @@ from .qspr import (
     octane_regression,
 )
 from .verification import (
+    DEFAULT_TRIALS,
     ERRATUM,
     RANDOM_FORMULA_IDS,
     UNVERIFIED,
@@ -42,16 +44,15 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the documented usage-error exit code (1, not 2)."""
+def _usage(message: str) -> int:
+    """Report a usage error that argparse cannot see; returns ``EXIT_USAGE``."""
+    print(f"nbzagreb: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
 
-    def _usage_exit(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+def _write(path: str, text: str) -> None:
+    """Write an output file: UTF-8, line endings exactly as in ``text``."""
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def _format_number(value, precision: int) -> str:
@@ -130,11 +131,14 @@ def _untaken_param(args, taken) -> str | None:
     return next((f"--{p}" for p in given if p not in taken), None)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="nbzagreb", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="nbzagreb", description=__doc__)
+    # each subparser registers its handler as ``run``; ``dest`` only names
+    # the missing command in argparse's error
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute a topological index")
+    p_compute.set_defaults(run=_cmd_compute)
     p_compute.add_argument("--family", choices=sorted(FAMILIES))
     p_compute.add_argument("--n", type=int)
     p_compute.add_argument("--m", type=int)
@@ -144,6 +148,7 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("--precision", type=_int_at_least(0), default=6)
 
     p_product = sub.add_parser("product", help="construct a product of two graphs")
+    p_product.set_defaults(run=_cmd_product)
     p_product.add_argument(
         "--kind", required=True, choices=[k.value for k in ProductKind]
     )
@@ -157,9 +162,10 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser(
         "verify", help="check catalogued closed forms against construction"
     )
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--formula", required=True, metavar="ID|all")
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--trials", type=_int_at_least(1), default=200)
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
     p_verify.add_argument("--m", type=_parse_int_range, metavar="INT|A..B")
     p_verify.add_argument("--n", type=_parse_int_range, metavar="INT|A..B")
     p_verify.add_argument("--sizes", type=_parse_sizes, metavar="N1,N2,...")
@@ -172,35 +178,37 @@ def _build_parser() -> _Parser:
     )
 
     p_qspr = sub.add_parser("qspr", help="octane property regression")
+    p_qspr.set_defaults(run=_cmd_qspr)
     p_qspr.add_argument("--property", required=True, choices=PROPERTY_NAMES)
     p_qspr.add_argument("--csv", metavar="PATH")
     p_qspr.add_argument("--precision", type=_int_at_least(0), default=6)
 
     p_degen = sub.add_parser("degeneracy", help="mean isomer degeneracy table")
+    p_degen.set_defaults(run=_cmd_degeneracy)
     p_degen.add_argument("--csv", metavar="PATH")
 
     p_alkane = sub.add_parser("parse-alkane", help="parse an alkane name")
+    p_alkane.set_defaults(run=_cmd_parse_alkane)
     p_alkane.add_argument("name", help="e.g. '2,3-dimethyl hexane'")
 
     return parser
 
 
 def _load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_edge_list(f.read())
+    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
 
-def _cmd_compute(parser, args) -> int:
+def _cmd_compute(args) -> int:
     if (args.family is None) == (args.input is None):
-        return parser._usage_exit("compute needs exactly one of --family / --input")
+        return _usage("compute needs exactly one of --family / --input")
     source = f"family {args.family!r}" if args.family else "--input"
     names = FAMILIES[args.family][0] if args.family else ()
     untaken = _untaken_param(args, names)
     if untaken:
-        return parser._usage_exit(f"{source} takes no {untaken}")
+        return _usage(f"{source} takes no {untaken}")
     missing = [p for p in names if getattr(args, p) is None]
     if missing:
-        return parser._usage_exit(f"{source} needs --{' --'.join(missing)}")
+        return _usage(f"{source} needs --{' --'.join(missing)}")
     if args.family:
         graph = build_family(args.family, **{p: getattr(args, p) for p in names})
     else:
@@ -210,9 +218,9 @@ def _cmd_compute(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_product(parser, args) -> int:
+def _cmd_product(args) -> int:
     if not args.input or len(args.input) != 2:
-        return parser._usage_exit("product needs --input given exactly twice")
+        return _usage("product needs --input given exactly twice")
     left = _load_graph(args.input[0])
     right = _load_graph(args.input[1])
     result = product(left, right, ProductKind(args.kind))
@@ -220,22 +228,20 @@ def _cmd_product(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     if args.formula == "all":
         selected = list(FORMULA_IDS)
     elif args.formula in FORMULA_IDS:
         selected = [args.formula]
     else:
-        return parser._usage_exit(
+        return _usage(
             f"unknown formula {args.formula!r}; expected 'all' or one of {', '.join(FORMULA_IDS)}"
         )
     untaken = _untaken_param(args, {p for f in selected for p in CATALOG[f].params})
     if untaken:
-        return parser._usage_exit(f"{args.formula} takes no {untaken}")
+        return _usage(f"{args.formula} takes no {untaken}")
     if args.seed is None and any(f in RANDOM_FORMULA_IDS for f in selected):
-        return parser._usage_exit(
-            "--seed is required when verifying random-trial rules"
-        )
+        return _usage("--seed is required when verifying random-trial rules")
     seed = args.seed if args.seed is not None else 0
     sizes = [args.sizes] if args.sizes is not None else None
     reports = [
@@ -246,61 +252,44 @@ def _cmd_verify(parser, args) -> int:
     for report in reports:
         print(report.summary())
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as f:
-            f.write(reports_to_csv(reports))
+        _write(args.csv, reports_to_csv(reports))
     if args.strict:
         exempt = known_errata()
-        regressions = [
-            r.formula_id
-            for r in reports
-            if r.status == ERRATUM and r.formula_id not in exempt
-        ]
-        if regressions:
-            print(
-                f"strict mode: unexpected ERRATUM in {', '.join(regressions)}",
-                file=sys.stderr,
-            )
-            return EXIT_DATA
-        unverified = [r.formula_id for r in reports if r.status == UNVERIFIED]
-        if unverified:
-            print(
-                f"strict mode: no point checked in {', '.join(unverified)}",
-                file=sys.stderr,
-            )
-            return EXIT_DATA
+        # an unexpected ERRATUM is reported before an unchecked formula
+        for message, failing in (
+            ("unexpected ERRATUM in",
+             [r.formula_id for r in reports if r.status == ERRATUM and r.formula_id not in exempt]),
+            ("no point checked in", [r.formula_id for r in reports if r.status == UNVERIFIED]),
+        ):
+            if failing:
+                print(f"strict mode: {message} {', '.join(failing)}", file=sys.stderr)
+                return EXIT_DATA
     return EXIT_OK
 
 
-def _cmd_qspr(parser, args) -> int:
+def _cmd_qspr(args) -> int:
     result = octane_regression(args.property)
-    p = args.precision
     print(f"property = {args.property}")
     print(f"n = {result.n}")
-    print(f"r = {_format_number(result.r, p)}")
-    print(f"r^2 = {_format_number(result.r_squared, p)}")
-    print(f"slope = {_format_number(result.slope, p)}")
-    print(f"intercept = {_format_number(result.intercept, p)}")
+    for label, value in (("r", result.r), ("r^2", result.r_squared),
+                         ("slope", result.slope), ("intercept", result.intercept)):
+        print(f"{label} = {_format_number(value, args.precision)}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as f:
-            f.write(octane_pairs_csv(args.property))
+        _write(args.csv, octane_pairs_csv(args.property))
     return EXIT_OK
 
 
-def _cmd_degeneracy(parser, args) -> int:
+def _cmd_degeneracy(args) -> int:
     rows = degeneracy_table()
     for row in rows:
         print(f"{row.index_id} n={row.n} t={row.t} d={row.d_rendered}")
     if args.csv:
-        lines = ["index,n,t,d"]
-        lines.extend(
-            f"{row.index_id},{row.n},{row.t},{row.d_rendered}" for row in rows
-        )
-        with open(args.csv, "w", encoding="utf-8", newline="") as f:
-            f.write("\n".join(lines) + "\n")
+        _write(args.csv, "index,n,t,d\n" + "".join(
+            f"{row.index_id},{row.n},{row.t},{row.d_rendered}\n" for row in rows))
     return EXIT_OK
 
 
-def _cmd_parse_alkane(parser, args) -> int:
+def _cmd_parse_alkane(args) -> int:
     graph = parse_alkane_name(args.name)
     print(f"# {args.name}")
     print(f"# MN = {neighbourhood_zagreb(graph)}")
@@ -308,23 +297,13 @@ def _cmd_parse_alkane(parser, args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "compute": _cmd_compute,
-    "product": _cmd_product,
-    "verify": _cmd_verify,
-    "qspr": _cmd_qspr,
-    "degeneracy": _cmd_degeneracy,
-    "parse-alkane": _cmd_parse_alkane,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](parser, args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits 0 after --help and 2 on a usage error, which is 1 here
+        return EXIT_USAGE if exc.code else EXIT_OK
     except (OSError, ValueError) as exc:
         # every data error of the library (GraphError, AlkaneNameError,
         # TooLargeError, SizeOverflowError, ...) is a ValueError

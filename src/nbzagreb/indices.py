@@ -20,10 +20,10 @@ rational, and ``CHI`` is the single floating-point index.  Unreachable
 vertex pairs contribute 0 to ``HARARY``, so disconnected graphs are legal
 everywhere.
 
-The six degree indices take one pass over the degrees or the edges.  The
-other two kinds are counted by algorithm and bounded by a budget, a
-module constant; past it they raise :class:`TooLargeError` before
-allocating anything of the refused size.
+The five degree indices (M1, M2, MN, F and CHI) take one pass over the
+degrees or the edges.  The other three are counted by algorithm and
+bounded by a budget, a module constant; past it they raise
+:class:`TooLargeError` before allocating anything of the refused size.
 
 Z, SIGMA and HARARY share one traversal.  Each component is walked by one
 BFS from its lowest vertex.  Its *second sweep* is a BFS from the last

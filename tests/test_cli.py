@@ -345,6 +345,31 @@ class TestVerify:
         assert code == 2 and "EX_GRID: UNVERIFIED" in out
         assert "no point checked in EX_GRID" in err
 
+    _STRICT_BOTH = (
+        "verify", "--formula", "all", "--seed", "42", "--trials", "1",
+        "--m", "1000", "--n", "2000", "--strict",
+    )
+
+    def test_strict_reports_unexpected_erratum_first(self, capsys, monkeypatch):
+        # with no known errata, the four expected ERRATUM formulas are
+        # unexpected; the unchecked formulas of the same run go unreported
+        monkeypatch.setattr(cli, "known_errata", lambda: frozenset())
+        code, _, err = run(capsys, *self._STRICT_BOTH)
+        assert code == 2
+        assert err == (
+            "strict mode: unexpected ERRATUM in "
+            "PROP4_PRINTED, EX_LADDER, EX_FENCE, EX_CLOSED_FENCE\n"
+        )
+
+    def test_strict_reports_every_unchecked_formula(self, capsys):
+        code, _, err = run(capsys, *self._STRICT_BOTH)
+        assert code == 2
+        assert err == (
+            "strict mode: no point checked in EX_NANOTORUS, EX_NANOTUBE, EX_GRID, "
+            "EX_ROOK, EX_HYPERCUBE, EX_TENSOR_PP, EX_TENSOR_CC, EX_TENSOR_KK, "
+            "EX_TENSOR_PC, EX_TENSOR_PK, EX_TENSOR_CK\n"
+        )
+
     def test_ladder_over_the_vertex_cap_is_skipped(self, capsys, monkeypatch):
         def refuse(n):
             raise AssertionError(f"a factor of order {n} was built")
@@ -487,6 +512,24 @@ class TestUsage:
         assert code == 1 and out == ""
         assert err.endswith(f"error: {message}\n")
         assert "_parse" not in err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("compute", "--family", "path", "--n", "5", "--index", "CHI",
+              "--precision", "-3"),
+             "nbzagreb compute: error: argument --precision: must be >= 0, got -3"),
+            (("verify", "--formula", "all", "--trials", "0"),
+             "nbzagreb verify: error: argument --trials: must be >= 1, got 0"),
+        ],
+        ids=["compute", "verify"],
+    )
+    def test_argparse_error_names_the_subcommand(self, capsys, argv, line):
+        # only the last line: the usage block above it wraps differently
+        # across Python versions
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == line
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
