@@ -6,6 +6,7 @@ The parser covers exactly the nomenclature needed for the octane work
     name        := ["n-"] group (("-" | " ")? group)* (" ")? parent
     group       := locants "-" multiplier? substituent
     locants     := int ("," int)*
+    int         := ASCII digit+
     multiplier  := "di" | "tri" | "tetra"
     substituent := "methyl" | "ethyl"
     parent      := "butane" | "pentane" | "hexane" | "heptane" | "octane"
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import io
 import csv
+import re
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -63,6 +65,17 @@ _MULTIPLIERS = {"di": 2, "tri": 3, "tetra": 4}
 _SUBSTITUENTS = ("methyl", "ethyl")
 
 
+#: One group and the separator after it.  Every part after the locants may
+#: match empty, so a group that starts with a digit always matches, and the
+#: first empty part names the syntax error.  ``[0-9]``, since ``\d`` also
+#: matches non-ASCII digits.
+_GROUP = re.compile(
+    rf"([0-9]+(?:,[0-9]+)*)(,?)(-?)({'|'.join(_MULTIPLIERS)}|)"
+    rf"({'|'.join(_SUBSTITUENTS)}|)[- ]?"
+)
+_PARENT = re.compile("|".join(_PARENTS))
+
+
 def parse_alkane_name(text: str) -> Graph:
     """Parse an alkane name into its hydrogen-suppressed carbon tree."""
     offset = len(text) - len(text.lstrip())
@@ -70,74 +83,32 @@ def parse_alkane_name(text: str) -> Graph:
     if not s:
         raise AlkaneSyntaxError("empty name", offset)
 
-    pos = 0
-    if s.startswith("n-"):
-        pos = 2
-
+    pos = 2 if s.startswith("n-") else 0
     groups: list[tuple[list[int], str]] = []
-    parent_len: int | None = None
-    while True:
-        if pos < len(s) and s[pos].isdigit():
-            locants, substituent, pos = _parse_group(s, pos, offset)
-            groups.append((locants, substituent))
-            # at most one separator before the next group or the parent
-            if pos < len(s) and s[pos] in "- ":
-                pos += 1
-            continue
-        parent_len, pos = _parse_parent(s, pos, offset)
-        break
+    while match := _GROUP.match(s, pos):
+        digits, comma, hyphen, multiplier, substituent = match.groups()
+        locants = [int(d) for d in digits.split(",")]
+        if comma:
+            raise AlkaneSyntaxError("expected a locant", offset + match.end(2))
+        if not hyphen:
+            raise AlkaneSyntaxError("expected '-' after locants", offset + match.end(1))
+        if not substituent:
+            raise AlkaneSyntaxError("expected a substituent name", offset + match.end(4))
+        expected = _MULTIPLIERS.get(multiplier, 1)
+        if len(locants) != expected:
+            raise MultiplierMismatchError(
+                f"{len(locants)} locant(s) with a multiplier for {expected}"
+            )
+        groups.append((locants, substituent))
+        pos = match.end()
+    parent = _PARENT.match(s, pos)
+    if parent is None:
+        raise AlkaneSyntaxError("expected a parent chain name", offset + pos)
+    pos = parent.end()
     if pos != len(s):
         raise AlkaneSyntaxError(f"unexpected trailing text {s[pos:]!r}", offset + pos)
 
-    return _build_tree(parent_len, groups)
-
-
-def _parse_int(s: str, pos: int, offset: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(s) and s[pos].isdigit():
-        pos += 1
-    if start == pos:
-        raise AlkaneSyntaxError("expected a locant", offset + start)
-    return int(s[start:pos]), pos
-
-
-def _parse_group(s: str, pos: int, offset: int) -> tuple[list[int], str, int]:
-    locants = []
-    value, pos = _parse_int(s, pos, offset)
-    locants.append(value)
-    while pos < len(s) and s[pos] == ",":
-        value, pos = _parse_int(s, pos + 1, offset)
-        locants.append(value)
-    if pos >= len(s) or s[pos] != "-":
-        raise AlkaneSyntaxError("expected '-' after locants", offset + pos)
-    pos += 1
-    multiplier = None
-    for word, count in _MULTIPLIERS.items():
-        if s.startswith(word, pos):
-            multiplier = count
-            pos += len(word)
-            break
-    substituent = None
-    for word in _SUBSTITUENTS:
-        if s.startswith(word, pos):
-            substituent = word
-            pos += len(word)
-            break
-    if substituent is None:
-        raise AlkaneSyntaxError("expected a substituent name", offset + pos)
-    expected = multiplier if multiplier is not None else 1
-    if len(locants) != expected:
-        raise MultiplierMismatchError(
-            f"{len(locants)} locant(s) with a multiplier for {expected}"
-        )
-    return locants, substituent, pos
-
-
-def _parse_parent(s: str, pos: int, offset: int) -> tuple[int, int]:
-    for word, length in _PARENTS.items():
-        if s.startswith(word, pos):
-            return length, pos + len(word)
-    raise AlkaneSyntaxError("expected a parent chain name", offset + pos)
+    return _build_tree(_PARENTS[parent.group()], groups)
 
 
 def _build_tree(parent_len: int, groups) -> Graph:

@@ -71,11 +71,9 @@ _DECIMAL_CHUNK = 600
 
 
 def _decimal(value: int) -> str:
-    """``str(value)`` for any length, without changing the interpreter-wide
-    limit on int-to-string conversion: halves are split off by ``divmod``
-    until each fits one ``str`` call."""
-    if value < 0:
-        return "-" + _decimal(-value)
+    """``str(value)`` of a nonnegative ``value`` of any length, without
+    changing the interpreter-wide limit on int-to-string conversion: halves
+    are split off by ``divmod`` until each fits one ``str`` call."""
     if value < 10 ** _DECIMAL_CHUNK:
         return str(value)
     # the low half gets about half the digits (log10(2) > 0.3)
@@ -113,16 +111,24 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _bounded_int(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than ``minimum`` and, if
+    ``maximum`` is given, no larger than it."""
 
     def parse(text: str) -> int:
         value = _int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
+
+
+#: argparse type of ``--precision``: float formatting takes a precision
+#: up to the largest C ``int``
+_precision = _bounded_int(0, 2**31 - 1)
 
 
 def _untaken_param(args, taken) -> str | None:
@@ -145,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--sizes", type=_parse_sizes, metavar="N1,N2,...")
     p_compute.add_argument("--input", metavar="FILE", help="edge-list file")
     p_compute.add_argument("--index", required=True, choices=INDEX_IDS)
-    p_compute.add_argument("--precision", type=_int_at_least(0), default=6)
+    p_compute.add_argument("--precision", type=_precision, default=6)
 
     p_product = sub.add_parser("product", help="construct a product of two graphs")
     p_product.set_defaults(run=_cmd_product)
@@ -165,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--formula", required=True, metavar="ID|all")
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
+    p_verify.add_argument("--trials", type=_bounded_int(1), default=DEFAULT_TRIALS)
     p_verify.add_argument("--m", type=_parse_int_range, metavar="INT|A..B")
     p_verify.add_argument("--n", type=_parse_int_range, metavar="INT|A..B")
     p_verify.add_argument("--sizes", type=_parse_sizes, metavar="N1,N2,...")
@@ -181,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qspr.set_defaults(run=_cmd_qspr)
     p_qspr.add_argument("--property", required=True, choices=PROPERTY_NAMES)
     p_qspr.add_argument("--csv", metavar="PATH")
-    p_qspr.add_argument("--precision", type=_int_at_least(0), default=6)
+    p_qspr.add_argument("--precision", type=_precision, default=6)
 
     p_degen = sub.add_parser("degeneracy", help="mean isomer degeneracy table")
     p_degen.set_defaults(run=_cmd_degeneracy)

@@ -400,9 +400,10 @@ def _count_cyclic(adj, vertices: list[int], up: list[int], mark: list[int],
     """
     k = len(vertices)
     words = _mask_words(k)
+    # k * words is within the budget: when the whole graph's order is over
+    # it, :func:`_count` has refused every cyclic component that is over it
+    # through :func:`_refuse_large_cycles`
     spent = k * words
-    if spent > COUNTING_STATE_BUDGET:
-        raise _over_budget(index_id, k)
     _, masks = _ordered_masks(adj, vertices, up, mark)
     split = _matching_split if index_id == "Z" else _independent_split
 

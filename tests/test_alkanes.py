@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nbzagreb import (
+    AlkaneNameError,
     AlkaneSyntaxError,
     Graph,
     LocantOutOfRangeError,
@@ -16,6 +19,41 @@ from nbzagreb import (
 )
 
 from oracle_helpers import tree_canonical_form
+
+
+_PARENT_WORDS = ("butane", "pentane", "hexane", "heptane", "octane")
+_MULTIPLIER_WORDS = ("", "di", "tri", "tetra")
+
+
+@st.composite
+def rendered_names(draw):
+    """A grammatical name and the edges of the tree it names.
+
+    Vertices are numbered as the parser numbers them: the chain first,
+    then each branch in the order it is named.
+    """
+    length = draw(st.integers(4, 8))
+    edges = [(i, i + 1) for i in range(length - 1)]
+    n = length
+    parts = [draw(st.sampled_from(["", "n-"]))]
+    for _ in range(draw(st.integers(1, 3))):
+        locants = draw(st.lists(st.integers(1, length), min_size=1, max_size=4))
+        substituent = draw(st.sampled_from(["methyl", "ethyl"]))
+        parts.append(",".join(map(str, locants)) + "-"
+                     + _MULTIPLIER_WORDS[len(locants) - 1] + substituent)
+        parts.append(draw(st.sampled_from(["-", " ", ""])))
+        for locant in locants:
+            edges.append((locant - 1, n))
+            if substituent == "ethyl":
+                edges.append((n, n + 1))
+                n += 1
+            n += 1
+    parts.append(_PARENT_WORDS[length - 4])
+    name = "".join(parts)
+    upper = draw(st.lists(st.booleans(), min_size=len(name), max_size=len(name)))
+    name = "".join(c.upper() if u else c for c, u in zip(name, upper))
+    pad = st.text(alphabet=" \t\n", max_size=2)
+    return draw(pad) + name + draw(pad), n, edges
 
 
 class TestParser:
@@ -122,6 +160,49 @@ class TestParser:
             ("n-heptane", 7), ("n-octane", 8),
         ]:
             assert parse_alkane_name(name) == path_graph(order)
+
+
+class TestParserPins:
+    @pytest.mark.parametrize("name, error, message, position", [
+        ("2,-methyl butane", AlkaneSyntaxError, "position 2: expected a locant", 2),
+        ("2-di butane", AlkaneSyntaxError, "position 4: expected a substituent name", 4),
+        ("2-propyl butane", AlkaneSyntaxError, "position 2: expected a substituent name", 2),
+        ("  2-methyl plumbane", AlkaneSyntaxError,
+         "position 11: expected a parent chain name", 11),
+        ("2-methyl  butane", AlkaneSyntaxError, "position 9: expected a parent chain name", 9),
+        ("2methyl butane", AlkaneSyntaxError, "position 1: expected '-' after locants", 1),
+        ("n-octane!", AlkaneSyntaxError, "position 8: unexpected trailing text '!'", 8),
+        ("   ", AlkaneSyntaxError, "position 3: empty name", 3),
+        ("2,3-methyl hexane", MultiplierMismatchError,
+         "2 locant(s) with a multiplier for 1", None),
+    ])
+    def test_error_type_message_and_position(self, name, error, message, position):
+        with pytest.raises(AlkaneNameError) as exc:
+            parse_alkane_name(name)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert getattr(exc.value, "position", None) == position
+
+    # superscript two and Arabic-Indic two: digits to str.isdigit, not locants
+    @pytest.mark.parametrize("name", ["\u00b2-methyl butane", "\u0662-methyl butane"])
+    def test_non_ascii_digit_is_a_syntax_error(self, name):
+        with pytest.raises(AlkaneSyntaxError) as exc:
+            parse_alkane_name(name)
+        assert str(exc.value) == "position 0: expected a parent chain name"
+        assert exc.value.position == 0
+
+    @given(rendered_names())
+    def test_rendered_names_against_validated_tree(self, case):
+        name, n, edges = case
+        degrees = [0] * n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        if max(degrees) > 4:
+            with pytest.raises(ValenceExceededError):
+                parse_alkane_name(name)
+        else:
+            assert parse_alkane_name(name) == Graph(n, edges)
 
 
 class TestOctaneDataset:

@@ -68,6 +68,12 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--family", "path", "--n", "3", "--index", "HARARY")
         assert code == 0 and out == "5/2\n"
 
+    def test_integral_fraction_prints_as_an_integer(self, capsys):
+        # HARARY of K2 is Fraction(1), denominator 1
+        code, out, _ = run(capsys, "compute", "--family", "complete", "--n", "2",
+                           "--index", "HARARY")
+        assert code == 0 and out == "1\n"
+
     def test_float_precision(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "path", "--n", "3", "--index", "CHI")
         assert code == 0 and out == "1.41421\n"
@@ -89,6 +95,24 @@ class TestCompute:
         assert code == 1 and out == ""
         assert "--precision: must be >= 0, got -3" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "path", "--n", "5", "--index", "CHI"),
+            ("qspr", "--property", "acentric"),
+        ],
+    )
+    def test_precision_bounded_by_float_formatting(self, capsys, argv):
+        # float formatting takes a precision up to the largest C int
+        code, out, _ = run(capsys, *argv, "--precision", str(2**31 - 1))
+        assert code == 0 and out
+        code, out, err = run(capsys, *argv, "--precision", str(2**31))
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == (
+            f"nbzagreb {argv[0]}: error: argument --precision: "
+            f"must be <= {2**31 - 1}, got {2**31}"
+        )
+
     def test_family_and_input_conflict(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("2 1\n0 1\n")
@@ -97,6 +121,12 @@ class TestCompute:
             "--index", "MN",
         )
         assert code == 1 and "exactly one" in err
+
+    def test_bad_hamming_sizes_are_data_error(self, capsys):
+        code, out, err = run(capsys, "compute", "--family", "hamming", "--sizes", "1,2",
+                             "--index", "MN")
+        assert code == 2 and out == ""
+        assert err == "nbzagreb: hamming factor sizes must be >= 2, got [1, 2]\n"
 
     def test_missing_family_param_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "grid", "--n", "4", "--index", "MN")
@@ -458,6 +488,12 @@ class TestParseAlkane:
     def test_bad_name_is_data_error(self, capsys):
         code, _, err = run(capsys, "parse-alkane", "2-methylpropane")
         assert code == 2 and "position" in err
+
+    @pytest.mark.parametrize("name", ["\u00b2-methyl butane", "\u0662-methyl butane"])
+    def test_non_ascii_digit_is_data_error(self, capsys, name):
+        code, out, err = run(capsys, "parse-alkane", name)
+        assert code == 2 and out == ""
+        assert err == "nbzagreb: position 0: expected a parent chain name\n"
 
     def test_valence_violation_is_data_error(self, capsys):
         code, _, err = run(capsys, "parse-alkane", "2,2,2-trimethyl butane")

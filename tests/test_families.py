@@ -79,6 +79,18 @@ class TestRegistry:
             g = build_family(name, **{p: values[p] for p in params})
             assert g == builder(*(values[p] for p in params))
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([], "hamming needs at least one factor size"),
+            ([1, 2], "hamming factor sizes must be >= 2, got [1, 2]"),
+        ],
+    )
+    def test_hamming_rejects_bad_sizes(self, sizes, message):
+        with pytest.raises(ValueError) as exc:
+            families.hamming(sizes)
+        assert str(exc.value) == message
+
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="needs parameter --m"):
             build_family("grid", n=4)

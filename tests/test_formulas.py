@@ -216,6 +216,13 @@ class TestVerify:
         assert dict(first.params) == {"m": 4, "n": 4}
         assert (first.closed, first.oracle) == (1832, 1576)
 
+    def test_summary_counts_points_outside_the_stated_range(self):
+        report = verify("EX_GRID", m_values=[3], n_values=[4])
+        assert report.summary() == (
+            "EX_GRID: ERRATUM (1 points, 1 nonzero deltas, max |delta| = 184, "
+            "1 outside stated range)"
+        )
+
     def test_ladder_erratum_value(self):
         report = verify("EX_LADDER", n_values=[3])
         (point,) = report.points

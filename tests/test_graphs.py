@@ -272,6 +272,21 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\nnope\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 -1\n", "line 1: bad header '3 -1'"),
+            ("0 2\n", "line 1: bad header '0 2'"),
+            ("# only\n\n# comments\n", "line 3: missing 'n m' header"),
+            ("", "line 1: missing 'n m' header"),
+        ],
+    )
+    def test_bad_or_missing_header(self, text, message):
+        with pytest.raises(EdgeListSyntaxError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+        assert exc.value.line == int(message.split()[1].rstrip(":"))
+
     def test_missing_edges_detected(self):
         with pytest.raises(EdgeListSyntaxError):
             parse_edge_list("3 2\n0 1\n")
