@@ -46,7 +46,7 @@ from .products import (
     tensor,
     wreath,
 )
-from .families import FAMILIES, build_family
+from .families import FAMILIES, build_family, plan_family
 from .formulas import (
     FORMULA_IDS,
     GraphStats,

@@ -18,10 +18,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .alkanes import parse_alkane_name
-from .families import FAMILIES, build_family
+from .families import FAMILIES, build_family, plan_family
 from .formulas import CATALOG, FORMULA_IDS
 from .graphs import parse_edge_list, serialize_edge_list
-from .indices import INDEX_IDS, compute_index, neighbourhood_zagreb
+from .indices import INDEX_IDS, _check_budget, compute_index, neighbourhood_zagreb
 from .products import ProductKind, product
 from .qspr import (
     PROPERTY_NAMES,
@@ -216,7 +216,11 @@ def _cmd_compute(args) -> int:
     if missing:
         return _usage(f"{source} needs --{' --'.join(missing)}")
     if args.family:
-        graph = build_family(args.family, **{p: getattr(args, p) for p in names})
+        params = {p: getattr(args, p) for p in names}
+        order, size = plan_family(args.family, **params)
+        # every family member is connected, so it has a cycle iff size >= order
+        _check_budget(args.index, order, size, cyclic=size >= order)
+        graph = build_family(args.family, **params)
     else:
         graph = _load_graph(args.input)
     value = compute_index(graph, args.index)

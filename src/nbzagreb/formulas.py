@@ -14,8 +14,8 @@ chemical families and HAMMING, whose one parameter is the size list) or
 the seeded factor sampler (the random-trial rules PROP1 to
 PROP4_PRINTED).  A new formula is a new record, not a new code path.
 The family and tensor-line oracles build through the one product plan of
-:mod:`nbzagreb.families`, which checks an oversized point against the one
-size rule of :mod:`nbzagreb.products` before it builds a complete factor.
+:mod:`nbzagreb.families`, which works out a point's order and size by the
+one size rule of :mod:`nbzagreb.products` before it builds any factor.
 
 Multi-index sums written over ``i != j``, ``i != j != k`` etc. are sums
 over ordered tuples of *pairwise distinct* indices, evaluated literally

@@ -27,6 +27,7 @@ meets it by construction, such as the products in :mod:`.products`.
 from __future__ import annotations
 
 import random
+import re
 from collections.abc import Iterable
 
 #: Cap on graph order for the families, the products and parsed edge-list
@@ -231,16 +232,29 @@ def empty_graph(n: int) -> Graph:
     return Graph(n)
 
 
+# The path, cycle and complete builders validate through their size
+# functions, which refuse what the builder refuses, in the same order, with
+# nothing built; the family plan sizes factors through them (_SIZES).
+
 def path_graph(n: int) -> Graph:
     """P_n: vertices 0..n-1 joined consecutively."""
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(_path_size(n))])
+
+
+def _path_size(n: int) -> int:
+    _check_positive(n)
+    return n - 1
 
 
 def cycle_graph(n: int) -> Graph:
     """C_n for n >= 3."""
+    return Graph(n, [(i, (i + 1) % n) for i in range(_cycle_size(n))])
+
+
+def _cycle_size(n: int) -> int:
     if n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return n
 
 
 def complete_graph(n: int) -> Graph:
@@ -250,11 +264,15 @@ def complete_graph(n: int) -> Graph:
 
 
 def _complete_size(n: int) -> int:
-    """Size of K_n, refused as :func:`complete_graph` refuses it, with nothing built."""
     size = n * (n - 1) // 2
     _check_cap("size", size, edges=True)
     _check_positive(n)
     return size
+
+
+#: Each builder's size function, by the builder's name, which a wrapper made
+#: with ``functools.wraps`` (a tracer's, say) keeps.
+_SIZES = {"path_graph": _path_size, "cycle_graph": _cycle_size, "complete_graph": _complete_size}
 
 
 def star_graph(n: int) -> Graph:
@@ -268,6 +286,8 @@ def star_graph(n: int) -> Graph:
 #   # comment lines are allowed anywhere
 #   n m
 #   u v          (exactly m lines, 0 <= u,v < n)
+#
+# A field is -?[0-9]+: ASCII digits, with no "+" and no "_".
 
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a canonical :class:`Graph`.
@@ -275,6 +295,9 @@ def parse_edge_list(text: str) -> Graph:
     A header order above :data:`DEFAULT_VERTEX_CAP` is rejected on the
     header line, before anything of that size is allocated.
     """
+    # int() also reads "1_0", "+2" and non-ASCII digits, so a text that holds
+    # any of those has its fields matched against the grammar
+    strict = "_" in text or "+" in text or not text.isascii()
     header: tuple[int, int] | None = None
     header_line = 0
     edges: list[tuple[int, int]] = []
@@ -288,6 +311,8 @@ def parse_edge_list(text: str) -> Graph:
         if len(fields) != 2:
             raise EdgeListSyntaxError(f"expected two fields, got {len(fields)}", lineno)
         try:
+            if strict and not all(re.fullmatch("-?[0-9]+", f) for f in fields):
+                raise ValueError
             a, b = int(fields[0]), int(fields[1])
         except ValueError:
             raise EdgeListSyntaxError(f"non-integer field in {line!r}", lineno) from None

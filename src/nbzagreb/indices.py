@@ -24,6 +24,9 @@ The five degree indices (M1, M2, MN, F and CHI) take one pass over the
 degrees or the edges.  The other three are counted by algorithm and
 bounded by a budget, a module constant; past it they raise
 :class:`TooLargeError` before allocating anything of the refused size.
+Each budget's up-front rule, on order and size alone, is one function,
+``_check_budget``; ``compute --family`` calls it on a member's planned
+order and size (:func:`nbzagreb.families.plan_family`) before building it.
 
 Z, SIGMA and HARARY share one traversal.  Each component is walked by one
 BFS from its lowest vertex.  Its *second sweep* is a BFS from the last
@@ -107,15 +110,8 @@ HARARY_WORK_BUDGET = 5 * 10 ** 7
 
 
 class TooLargeError(ValueError):
-    """A counting or distance index would exceed its budget.
-
-    ``Z`` and ``SIGMA`` raise it when the bitmask recursion on a component
-    with a cycle would need more than :data:`COUNTING_STATE_BUDGET` mask
-    words, for its neighbour masks or its memoised states; tree components
-    never raise it.  ``HARARY`` raises it when order * (order + size)
-    exceeds :data:`HARARY_WORK_BUDGET`, before any BFS runs.  The message
-    names the budget that was hit.
-    """
+    """A counting or distance index would exceed its budget (see the module
+    docstring); the message names the budget that was hit."""
 
 
 def neighbourhood_zagreb(G: Graph) -> int:
@@ -150,12 +146,7 @@ def harary(G: Graph) -> Fraction:
     per-source BFS steps, an upper bound for both kernels, it raises
     :class:`TooLargeError` before any BFS runs.
     """
-    work = G.order * (G.order + G.size)
-    if work > HARARY_WORK_BUDGET:
-        raise TooLargeError(
-            f"HARARY needs {work} BFS steps (order x (order + size)), "
-            f"over the budget of {HARARY_WORK_BUDGET}"
-        )
+    _check_budget("HARARY", G.order, G.size, cyclic=False)
     hist = _distance_histogram(G)
     common = math.lcm(*range(1, len(hist)))
     # every unordered pair is counted once from each end
@@ -311,7 +302,10 @@ def _count(G: Graph, index_id: str) -> int:
     component's masks to exceed the budget.
     """
     n = G.order
-    if n * _mask_words(n) > COUNTING_STATE_BUDGET:
+    try:
+        _check_budget(index_id, n, G.size, cyclic=True)
+    except TooLargeError:
+        # the order alone is over the budget: refuse a component that is
         _refuse_large_cycles(G, index_id)
     adj = G.adjacency
     deg = G.degrees()
@@ -357,6 +351,19 @@ def _over_budget(index_id: str, k: int) -> TooLargeError:
     )
 
 
+def _check_budget(index_id: str, order: int, size: int, cyclic: bool) -> None:
+    """Refuse ``index_id`` from order and size alone.  For Z and SIGMA the
+    graph is connected, and ``cyclic`` says whether it has a cycle."""
+    if index_id == "HARARY" and (work := order * (order + size)) > HARARY_WORK_BUDGET:
+        raise TooLargeError(
+            f"HARARY needs {work} BFS steps (order x (order + size)), "
+            f"over the budget of {HARARY_WORK_BUDGET}"
+        )
+    if index_id in ("Z", "SIGMA") and cyclic:
+        if order * _mask_words(order) > COUNTING_STATE_BUDGET:
+            raise _over_budget(index_id, order)
+
+
 def _refuse_large_cycles(G: Graph, index_id: str) -> None:
     """Raise if a component with a cycle outgrows the budget's masks.
 
@@ -380,9 +387,8 @@ def _refuse_large_cycles(G: Graph, index_id: str) -> None:
             root[v] = u
             size[u] += size[v]
             cyclic[u] |= cyclic[v]
-        k = size[u]
-        if cyclic[u] and k * _mask_words(k) > COUNTING_STATE_BUDGET:
-            raise _over_budget(index_id, k)
+        if cyclic[u]:  # the rule of Z and SIGMA reads no edge count
+            _check_budget(index_id, size[u], 0, cyclic=True)
 
 
 def _count_cyclic(adj, vertices: list[int], up: list[int], mark: list[int],

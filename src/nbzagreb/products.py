@@ -34,9 +34,8 @@ Before it builds any pair, each kind passes its factors' orders and sizes
 to ``_check_product``, the one copy of each kind's edge count.  It refuses
 an order over :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP` or a size over
 :data:`~nbzagreb.graphs.DEFAULT_EDGE_CAP` with :class:`SizeOverflowError`,
-order first.  The product families of :mod:`nbzagreb.families` call it on
-sizes worked out from their parameters, so they refuse a product of
-complete graphs before any factor is built.
+order first.  The plan of :mod:`nbzagreb.families` folds it over sizes
+worked out from a family's parameters, before any factor is built.
 
 Each product kind obeys a per-vertex law for the neighbour-degree sum of
 the constructed graph, ``_DELTA_LAWS[kind]``, stated on factor data alone;

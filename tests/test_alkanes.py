@@ -191,6 +191,25 @@ class TestParserPins:
         assert str(exc.value) == "position 0: expected a parent chain name"
         assert exc.value.position == 0
 
+    @pytest.mark.parametrize("name, position", [
+        ("1" * 5000 + "-methyl butane", 4300),
+        ("2," + "0" * 4301 + "2-dimethyl hexane", 4302),
+        ("  " + "1" * 4301 + "-methyl butane", 4302),
+    ], ids=["one-locant", "second-locant", "leading-space"])
+    def test_locant_longer_than_int_reads_is_a_syntax_error(self, name, position):
+        with pytest.raises(AlkaneSyntaxError) as exc:
+            parse_alkane_name(name)
+        assert str(exc.value) == f"position {position}: locant longer than 4300 digits"
+        assert exc.value.position == position
+
+    def test_long_locants_within_int_still_parse(self):
+        assert parse_alkane_name("00002-methyl butane") == parse_alkane_name("2-methyl butane")
+        assert parse_alkane_name("0" * 4299 + "2-methyl butane") == parse_alkane_name(
+            "2-methylbutane")
+        with pytest.raises(LocantOutOfRangeError) as exc:
+            parse_alkane_name("1" * 4300 + "-methyl butane")
+        assert str(exc.value) == f"locant {'1' * 4300} outside chain of length 4"
+
     @given(rendered_names())
     def test_rendered_names_against_validated_tree(self, case):
         name, n, edges = case

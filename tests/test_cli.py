@@ -2,11 +2,13 @@ import re
 import resource
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from nbzagreb import (
+    Graph,
     cartesian,
     neighbourhood_zagreb,
     parse_edge_list,
@@ -173,6 +175,45 @@ class TestCompute:
         code, out, err = run(capsys, "compute", *argv)
         assert code == 2 and out == ""
         assert err == f"nbzagreb: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("grid", "--m", "1000", "--n", "1000", "--index", "Z"),
+             "Z exceeds the counting budget of 65536 mask words "
+             "on a component with a cycle and at least 1000000 vertices"),
+            (("grid", "--m", "1000", "--n", "1000", "--index", "SIGMA"),
+             "SIGMA exceeds the counting budget of 65536 mask words "
+             "on a component with a cycle and at least 1000000 vertices"),
+            (("grid", "--m", "1000", "--n", "1000", "--index", "HARARY"),
+             "HARARY needs 2998000000000 BFS steps (order x (order + size)), "
+             "over the budget of 50000000"),
+            # size == order: the smallest cyclic member
+            (("cycle", "--n", "3000", "--index", "Z"),
+             "Z exceeds the counting budget of 65536 mask words "
+             "on a component with a cycle and at least 3000 vertices"),
+        ],
+        ids=["grid-Z", "grid-SIGMA", "grid-HARARY", "cycle-Z"],
+    )
+    def test_family_over_a_budget_refused_from_its_plan(self, capsys, monkeypatch, argv,
+                                                        message):
+        """The member's planned order and size decide, so no graph is built:
+        not a factor, not the 10**6-vertex grid, nor anything else."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        monkeypatch.setattr(Graph, "_from_canonical", refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "compute", "--family", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == f"nbzagreb: {message}\n"
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "family, n, index, value",
@@ -494,6 +535,11 @@ class TestParseAlkane:
         code, out, err = run(capsys, "parse-alkane", name)
         assert code == 2 and out == ""
         assert err == "nbzagreb: position 0: expected a parent chain name\n"
+
+    def test_locant_too_long_is_data_error(self, capsys):
+        code, out, err = run(capsys, "parse-alkane", "1" * 5000 + "-methyl butane")
+        assert code == 2 and out == ""
+        assert err == "nbzagreb: position 4300: locant longer than 4300 digits\n"
 
     def test_valence_violation_is_data_error(self, capsys):
         code, _, err = run(capsys, "parse-alkane", "2,2,2-trimethyl butane")

@@ -287,6 +287,40 @@ class TestEdgeListFormat:
         assert str(exc.value) == message
         assert exc.value.line == int(message.split()[1].rstrip(":"))
 
+    # int() reads all three; a field is -?[0-9]+ (\u0663 is an Arabic-Indic three)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1_0 0\n", "line 1: non-integer field in '1_0 0'"),
+            ("\u0663 1\n0 2\n", "line 1: non-integer field in '\u0663 1'"),
+            ("+2 1\n0 +1\n", "line 1: non-integer field in '+2 1'"),
+            ("2 1\n0 +1\n", "line 2: non-integer field in '0 +1'"),
+            ("3 1\n0 1_0\n", "line 2: non-integer field in '0 1_0'"),
+        ],
+    )
+    def test_field_is_ascii_digits_with_an_optional_minus(self, text, message):
+        with pytest.raises(EdgeListSyntaxError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+
+    def test_comment_may_hold_any_character(self):
+        text = "# 1_0 +2 \u0663 \u00b2\n3 2\n# +1 _\n0 1\n1 2\n"
+        assert parse_edge_list(text) == path_graph(3)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("3 -1\n", EdgeListSyntaxError, "line 1: bad header '3 -1'"),
+            ("3 1\n-1 0\n", VertexOutOfRangeError, "edge (-1, 0) has a vertex outside 0..2"),
+            # the slow path, for the comment's "_", reads negatives the same way
+            ("# _\n3 1\n0 -2\n", VertexOutOfRangeError, "edge (0, -2) has a vertex outside 0..2"),
+        ],
+    )
+    def test_negative_fields_keep_their_errors(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_edge_list(text)
+        assert type(exc.value) is error and str(exc.value) == message
+
     def test_missing_edges_detected(self):
         with pytest.raises(EdgeListSyntaxError):
             parse_edge_list("3 2\n0 1\n")
