@@ -287,7 +287,8 @@ def star_graph(n: int) -> Graph:
 #   n m
 #   u v          (exactly m lines, 0 <= u,v < n)
 #
-# A field is -?[0-9]+: ASCII digits, with no "+" and no "_".
+# A field is an optional "-" and 1 to 4300 ASCII digits, with no "+" and
+# no "_".
 
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a canonical :class:`Graph`.
@@ -315,6 +316,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise ValueError
             a, b = int(fields[0]), int(fields[1])
         except ValueError:
+            # int() refuses a well-formed field only past its digit limit
+            if all(re.fullmatch("-?[0-9]+", f) for f in fields):
+                raise EdgeListSyntaxError("field longer than 4300 digits", lineno) from None
             raise EdgeListSyntaxError(f"non-integer field in {line!r}", lineno) from None
         if header is None:
             header = (a, b)

@@ -42,27 +42,26 @@ Prodinger and Tichy 1982):
   over its BFS order: per vertex, the count of its subtree without the
   vertex (unmatched for ``Z``, out of the set for ``SIGMA``) and with it
   (matched; in the set).  Time O(k) big-integer operations, no budget.
-* A component with a cycle is relabelled to 0..k-1 and counted by the
-  memoised bitmask recursion, branching on its lowest-index vertex:
-  ``Z(G) = Z(G - v) + sum Z(G - v - u)`` over the neighbours u of the
-  lowest v that has one, and ``SIGMA(G) = SIGMA(G - v) + SIGMA(G - N[v])``.
-  The recursion runs on an explicit stack, so depth costs no interpreter
-  frames.  Its cost is the number of memoised states, which depends on
-  the component's shape and labelling rather than its order: at depth i
-  it memoises at most 2**b_i masks, where b_i counts the vertices at
-  positions >= i with a neighbour before i.  The labels follow whichever
-  of three orders has the least sum of 2**b_i, vertex order on a tie:
-  vertex order, the component's BFS order and its second sweep.
-  Choosing takes O(k + edges) operations on k-bit masks.
+* A component with a cycle is relabelled to positions 0..k-1 and counted
+  by a level DP over them, a transfer matrix: level i maps each set of
+  positions >= i still available to its count, and only two levels are
+  live at a time.  Level i holds at most 2**b_i sets, where b_i counts
+  the vertices at positions >= i with a neighbour before i, so the cost
+  depends on the component's shape and labelling rather than its order.
+  The labels follow whichever of three orders has the least sum of
+  2**b_i, vertex order on a tie: vertex order, the component's BFS order
+  and its second sweep.  Choosing takes O(k + edges) operations on k-bit
+  masks.
 
-:data:`COUNTING_STATE_BUDGET` bounds that recursion in 64-bit mask words,
-the unit its memory grows by: the k neighbour masks of a k-vertex
-component cost k * ceil(k / 64) words and are charged before they are
-built, and each memoised state costs ceil(k / 64) more.  At 2**16 words a
-refusal comes within a few seconds and some tens of MB.  For a graph
-whose order alone could exceed the budget, a union-find pass over the
-edges looks for a cycle in an over-budget component before the adjacency
-is built, so a large cyclic graph is refused at O(order) memory.
+:data:`COUNTING_STATE_BUDGET` bounds that DP in 64-bit mask words, the
+unit its memory grows by: the k neighbour masks of a k-vertex component
+cost k * ceil(k / 64) words and are charged before they are built, and
+each set that branches costs ceil(k / 64) more; a set that passes
+through is not charged.  At 2**16 words a refusal comes within a few
+seconds and some tens of MB.  For a graph whose order alone could exceed
+the budget, a union-find pass over the edges looks for a cycle in an
+over-budget component before the adjacency is built, so a large cyclic
+graph is refused at O(order) memory.
 
 ``HARARY`` fills a histogram of ordered vertex pairs per distance, then
 builds one ``Fraction`` over the least common multiple of the distances.
@@ -100,8 +99,8 @@ from .graphs import Graph
 #: library code reads it any more; :data:`COUNTING_STATE_BUDGET` replaced it.
 COUNTING_ORDER_LIMIT = 32
 
-#: Budget of the Z and SIGMA bitmask recursion on a component with a
-#: cycle, in 64-bit mask words (see the module docstring).
+#: Budget of the Z and SIGMA level DP on a component with a cycle, in
+#: 64-bit mask words (see the module docstring).
 COUNTING_STATE_BUDGET = 1 << 16
 
 #: Budget of HARARY in per-source BFS steps, order * (order + size): an
@@ -281,7 +280,7 @@ def hosoya(G: Graph) -> int:
     """Number of matchings, including the empty matching.
 
     Multiplies over components; see the module docstring for the tree DP,
-    the bitmask recursion and :data:`COUNTING_STATE_BUDGET`.
+    the level DP and :data:`COUNTING_STATE_BUDGET`.
     """
     return _count(G, "Z")
 
@@ -290,7 +289,7 @@ def merrifield_simmons(G: Graph) -> int:
     """Number of independent vertex sets, including the empty set.
 
     Multiplies over components; see the module docstring for the tree DP,
-    the bitmask recursion and :data:`COUNTING_STATE_BUDGET`.
+    the level DP and :data:`COUNTING_STATE_BUDGET`.
     """
     return _count(G, "SIGMA")
 
@@ -393,16 +392,15 @@ def _refuse_large_cycles(G: Graph, index_id: str) -> None:
 
 def _count_cyclic(adj, vertices: list[int], up: list[int], mark: list[int],
                   index_id: str) -> int:
-    """Z or SIGMA of one component by the memoised bitmask recursion.
+    """Z or SIGMA of one component by the level DP (see the module docstring).
 
     The component comes as a :func:`_bfs` order with its ``up`` links and
-    the ``mark`` list of :func:`_components`.  It is relabelled to 0..k-1
-    in whichever of vertex order, that BFS order and its second sweep has
-    the least sum of 2**b_i, vertex order on a tie; b_i counts the vertices
-    at positions >= i with a neighbour before i, and 2**b_i bounds the
-    masks memoised at depth i.  Frames on the explicit stack are
-    ``[mask, child masks, next child, partial sum]``; a mask whose split is
-    ``None`` counts 1 and is not memoised.
+    the ``mark`` list of :func:`_components`, relabelled by
+    :func:`_ordered_masks`.  A set without position i (i matched; next to
+    a chosen vertex) carries forward; one with i carries ``rest``, itself
+    without i, and ``rest ^ u`` per live later neighbour u (Z) or ``rest``
+    without them (SIGMA).  Only a set that branches, where i has a live
+    later neighbour, is charged.
     """
     k = len(vertices)
     words = _mask_words(k)
@@ -411,48 +409,47 @@ def _count_cyclic(adj, vertices: list[int], up: list[int], mark: list[int],
     # through :func:`_refuse_large_cycles`
     spent = k * words
     _, masks = _ordered_masks(adj, vertices, up, mark)
-    split = _matching_split if index_id == "Z" else _independent_split
-
-    # a component with a cycle has an edge, so the root always splits
-    root = (1 << k) - 1
-    memo: dict[int, int] = {}
-    stack = [[root, split(root, masks), 0, 0]]
-    while stack:
-        frame = stack[-1]
-        mask, kids, i, total = frame
-        while i < len(kids):
-            child = kids[i]
-            value = memo.get(child)
-            if value is None:
-                grandkids = split(child, masks)
-                if grandkids is not None:
-                    break
-                value = 1
-            total += value
-            i += 1
-        else:
-            spent += words
-            if spent > COUNTING_STATE_BUDGET:
-                raise _over_budget(index_id, k)
-            memo[mask] = total
-            stack.pop()
-            continue
-        frame[2] = i
-        frame[3] = total
-        stack.append([child, grandkids, 0, 0])
-    return memo[root]
+    matching = index_id == "Z"
+    level = {(1 << k) - 1: 1}
+    for i, mask_i in enumerate(masks):
+        bit = 1 << i
+        after: dict[int, int] = {}
+        get = after.get
+        for mask, count in level.items():
+            if not mask & bit:
+                after[mask] = get(mask, 0) + count
+                continue
+            rest = mask ^ bit
+            nbrs = rest & mask_i
+            if nbrs:
+                spent += words
+                if spent > COUNTING_STATE_BUDGET:
+                    raise _over_budget(index_id, k)
+            after[rest] = get(rest, 0) + count
+            if matching:
+                while nbrs:
+                    u = nbrs & -nbrs
+                    nbrs ^= u
+                    child = rest ^ u
+                    after[child] = get(child, 0) + count
+            else:
+                # with no live neighbour both choices of i leave ``rest``
+                child = rest ^ nbrs
+                after[child] = get(child, 0) + count
+        level = after
+    return sum(level.values())
 
 
 def _ordered_masks(adj, bfs: list[int], up: list[int],
                    mark: list[int]) -> tuple[list[int], list[int]]:
     """:func:`_count_cyclic`'s order of one component, and its neighbour masks.
 
-    Once the recursion has decided the vertices before position i, the
-    undecided ones it has removed lie among the b_i that have a neighbour
-    before i, so it memoises at most 2**b_i masks at that depth.  Vertex
-    order's b_i come from its masks, a BFS order's from its ``up`` links
-    (see :func:`_bfs_cost`).  Time O(k + edges) operations on k-bit masks;
-    the masks are built a second time only when a BFS order is cheaper.
+    Once the level DP has decided the positions before i, the later ones
+    it has removed lie among the b_i that have a neighbour before i, so
+    level i holds at most 2**b_i sets.  Vertex order's b_i come from its
+    masks, a BFS order's from its ``up`` links (see :func:`_bfs_cost`).
+    Time O(k + edges) operations on k-bit masks; the masks are built a
+    second time only when a BFS order is cheaper.
     """
     order = by_vertex = sorted(bfs)
     masks = _masks(adj, by_vertex)
@@ -496,37 +493,6 @@ def _bfs_cost(up: list[int]) -> int:
             found += 1
         cost += 1 << (found - i - 1)
     return cost
-
-
-def _matching_split(mask: int, masks: list[int]) -> list[int] | None:
-    """Child masks of Z's recursion, or ``None`` if no edge survives in ``mask``.
-
-    Lower vertices with no surviving neighbour are dropped from the
-    children: they match nothing.
-    """
-    rest = mask
-    while rest:
-        low = rest & -rest
-        nbrs = masks[low.bit_length() - 1] & mask
-        if nbrs:
-            without = rest ^ low
-            kids = [without]
-            while nbrs:
-                u = nbrs & -nbrs
-                kids.append(without ^ u)
-                nbrs ^= u
-            return kids
-        rest ^= low
-    return None
-
-
-def _independent_split(mask: int, masks: list[int]) -> tuple[int, int] | None:
-    """Child masks of SIGMA's recursion, or ``None`` for the empty mask."""
-    if not mask:
-        return None
-    low = mask & -mask
-    without = mask ^ low
-    return without, without & ~masks[low.bit_length() - 1]
 
 
 _DISPATCH = {

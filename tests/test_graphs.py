@@ -303,6 +303,24 @@ class TestEdgeListFormat:
             parse_edge_list(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("1" * 5000 + " 0\n", 1, id="header"),
+            # the edge 0-1 by the grammar
+            pytest.param("2 1\n0 " + "0" * 4301 + "1\n", 2, id="edge"),
+        ],
+    )
+    def test_field_past_the_digit_limit_named(self, text, line):
+        with pytest.raises(EdgeListSyntaxError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == f"line {line}: field longer than 4300 digits"
+        assert exc.value.line == line
+
+    def test_field_of_4300_digits_read(self):
+        with pytest.raises(EdgeListSyntaxError, match="^line 1: order 1{4300} exceeds vertex cap"):
+            parse_edge_list("1" * 4300 + " 0\n")
+
     def test_comment_may_hold_any_character(self):
         text = "# 1_0 +2 \u0663 \u00b2\n3 2\n# +1 _\n0 1\n1 2\n"
         assert parse_edge_list(text) == path_graph(3)
