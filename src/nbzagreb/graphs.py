@@ -14,21 +14,38 @@ Graphs can be shared between threads: two threads reading ``adjacency`` of
 a fresh graph may both build it, which is harmless because both results
 are equal.
 
-Construction has two steps.  ``Graph(order, edge_pairs)`` validates every
-pair and collects its canonical key ``(min, max)``; one shared fill step
-then sorts the keys and counts the degrees.  The private
-``Graph._from_canonical(order, keys)`` runs the fill step alone.  Its
-contract: ``keys`` is a list of distinct pairs ``(u, v)`` with
-``0 <= u < v < order``, which the graph takes over (it is sorted in
-place).  Nothing checks the contract; it is for builders whose output
-meets it by construction, such as the products in :mod:`.products`.
+Construction has two steps.  ``Graph(order, edge_pairs)`` refuses an order
+above the vertex cap, then validates every pair and collects its canonical
+key as the int code ``min * order + max`` in a set; the codes are sorted
+(an int sort, much cheaper than a tuple sort on shuffled input) and turned
+back into sorted ``(u, v)`` pairs with ``divmod``.  One shared fill step
+then stores the pairs and counts the degrees.  The private
+``Graph._from_canonical(order, keys)`` sorts ``keys`` in place and runs
+the fill step alone.  Its contract: ``keys`` is a list of distinct pairs
+``(u, v)`` with ``0 <= u < v < order``, which the graph takes over.
+Nothing checks the contract; it is for builders whose output meets it by
+construction: the elementary families and ``random_graph`` here, the
+alkane trees and the products in :mod:`.products`.
+
+Edge-list text is read in bulk first: the lines that are not blank or
+comments are joined and every field goes through one ``int`` pass, with no
+per-line container kept alive; the lines and fields are freed before the
+graph is built.  A text with anything else (a data line that is not two
+runs of ASCII digits and ``-`` split by one space, a run ``int`` refuses, a
+bad header or a wrong edge count) is read again by the line loop, which is
+the only reader that reports syntax errors, with their line numbers.  Both
+readers give the same graph, or the same error, for every text.  Error
+messages cut an echoed line or vertex id past ``_ECHO_LIMIT`` characters
+to its head and its length.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections.abc import Iterable
+from itertools import repeat
 
 #: Cap on graph order for the families, the products and parsed edge-list
 #: headers; wreath products blow up as |V2|^2 * |E1|.
@@ -49,23 +66,55 @@ def _check_cap(subject: str, count: int, *, edges: bool = False, shown=None) -> 
     given, in place of ``count``.
 
     The caps are read at call time, here and in :func:`parse_edge_list`'s
-    header check only, so lowering either constant on this module moves
+    header checks only, so lowering either constant on this module moves
     every refusal.
     """
     cap = DEFAULT_EDGE_CAP if edges else DEFAULT_VERTEX_CAP
     if count > cap:
-        shown = count if shown is None else shown
+        shown = _echo(count) if shown is None else shown
         unit = "edge" if edges else "vertex"
         raise SizeOverflowError(f"{subject} {shown} exceeds {unit} cap {cap}")
+
+
+#: Longest line or vertex id that an error message echoes whole.
+_ECHO_LIMIT = 60
+
+
+def _echo(value) -> str:
+    """``value``, a line of text (as its ``repr``) or a number, as an error
+    message shows it: whole up to ``_ECHO_LIMIT`` characters or digits,
+    else cut to its first half of that and its length.
+
+    An int past CPython's int-string limit (4300 digits) has no ``str``, so
+    its digits are counted from its logarithm, which works at any size.
+    """
+    if isinstance(value, str):
+        if len(value) <= _ECHO_LIMIT:
+            return repr(value)
+        return f"{value[:_ECHO_LIMIT // 2]!r}... ({len(value)} characters)"
+    if not isinstance(value, int) or -10 ** _ECHO_LIMIT < value < 10 ** _ECHO_LIMIT:
+        return str(value)
+    n = abs(value)
+    digits = int(math.log10(n)) + 1
+    # the float logarithm can be off by one next to a power of ten
+    if n < 10 ** (digits - 1):
+        digits -= 1
+    elif n >= 10 ** digits:
+        digits += 1
+    head = n // 10 ** (digits - _ECHO_LIMIT // 2)
+    return f"{'-' if value < 0 else ''}{head}... ({digits} digits)"
 
 
 class GraphError(ValueError):
     """Base class for graph construction and parsing errors."""
 
 
-def _check_positive(order: int) -> None:
+def _check_order(order: int) -> None:
+    """Refuse an order below 1, or above the vertex cap before any
+    per-vertex list is allocated."""
     if order < 1:
-        raise GraphError(f"order must be >= 1, got {order}")
+        raise GraphError(f"order must be >= 1, got {_echo(order)}")
+    _check_cap("order", order)
 
 
 class LoopEdgeError(GraphError):
@@ -103,33 +152,32 @@ class Graph:
     __slots__ = ("_order", "_adj", "_edges", "_degrees")
 
     def __init__(self, order: int, edge_pairs: Iterable[tuple[int, int]] = ()):
-        _check_positive(order)
-        keys: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        _check_order(order)
+        seen: set[int] = set()
         for u, v in edge_pairs:
             if not (0 <= u < order and 0 <= v < order):
                 raise VertexOutOfRangeError(
-                    f"edge ({u}, {v}) has a vertex outside 0..{order - 1}"
+                    f"edge ({_echo(u)}, {_echo(v)}) has a vertex outside 0..{order - 1}"
                 )
             if u == v:
                 raise LoopEdgeError(f"edge ({u}, {v}) is a self-loop")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            code = u * order + v if u < v else v * order + u
+            if code in seen:
                 raise DuplicateEdgeError(f"edge ({u}, {v}) appears more than once")
-            seen.add(key)
-            keys.append(key)
-        self._fill(order, keys)
+            seen.add(code)
+        self._fill(order, list(map(divmod, sorted(seen), repeat(order))))
 
     @classmethod
     def _from_canonical(cls, order: int, keys: list[tuple[int, int]]) -> Graph:
         """Trusted construction; see the module docstring for the contract."""
         graph = object.__new__(cls)
+        # timsort is linear on sorted input
+        keys.sort()
         graph._fill(order, keys)
         return graph
 
     def _fill(self, order: int, keys: list[tuple[int, int]]) -> None:
-        # timsort is linear on sorted input
-        keys.sort()
+        """Store ``keys``, sorted canonical pairs, and count the degrees."""
         degrees = [0] * order
         for u, v in keys:
             degrees[u] += 1
@@ -210,7 +258,7 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self._order):
             raise VertexOutOfRangeError(
-                f"vertex {v} outside 0..{self._order - 1}"
+                f"vertex {_echo(v)} outside 0..{self._order - 1}"
             )
 
     def __eq__(self, other) -> bool:
@@ -228,45 +276,51 @@ class Graph:
 # ---------------------------------------------------------------------------
 # Elementary families
 
+# Every builder here emits distinct pairs (u, v) with 0 <= u < v < n by
+# construction, so it checks n and then builds through the trusted fill:
+# validating such pairs one by one would only cost time.  The path, cycle
+# and complete builders check n through their size functions, which the
+# family plan also sizes factors through (_SIZES), with nothing built.
+
 def empty_graph(n: int) -> Graph:
-    return Graph(n)
+    _check_order(n)
+    return Graph._from_canonical(n, [])
 
-
-# The path, cycle and complete builders validate through their size
-# functions, which refuse what the builder refuses, in the same order, with
-# nothing built; the family plan sizes factors through them (_SIZES).
 
 def path_graph(n: int) -> Graph:
     """P_n: vertices 0..n-1 joined consecutively."""
-    return Graph(n, [(i, i + 1) for i in range(_path_size(n))])
+    return Graph._from_canonical(n, [(i, i + 1) for i in range(_path_size(n))])
 
 
 def _path_size(n: int) -> int:
-    _check_positive(n)
+    _check_order(n)
     return n - 1
 
 
 def cycle_graph(n: int) -> Graph:
     """C_n for n >= 3."""
-    return Graph(n, [(i, (i + 1) % n) for i in range(_cycle_size(n))])
+    edges = [(i, i + 1) for i in range(_cycle_size(n) - 1)]
+    edges.append((0, n - 1))
+    return Graph._from_canonical(n, edges)
 
 
 def _cycle_size(n: int) -> int:
     if n < 3:
-        raise GraphError(f"cycle needs at least 3 vertices, got {n}")
+        raise GraphError(f"cycle needs at least 3 vertices, got {_echo(n)}")
+    _check_order(n)
     return n
 
 
 def complete_graph(n: int) -> Graph:
     """K_n, refused over the edge cap before any pair is built."""
     _complete_size(n)
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph._from_canonical(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def _complete_size(n: int) -> int:
     size = n * (n - 1) // 2
     _check_cap("size", size, edges=True)
-    _check_positive(n)
+    _check_order(n)
     return size
 
 
@@ -277,18 +331,19 @@ _SIZES = {"path_graph": _path_size, "cycle_graph": _cycle_size, "complete_graph"
 
 def star_graph(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to every other vertex."""
-    return Graph(n, [(0, i) for i in range(1, n)])
+    _check_order(n)
+    return Graph._from_canonical(n, [(0, i) for i in range(1, n)])
 
 
 # ---------------------------------------------------------------------------
 # Edge-list text format
 #
-#   # comment lines are allowed anywhere
+#   # comment lines ("#" after optional whitespace) and blank lines anywhere
 #   n m
 #   u v          (exactly m lines, 0 <= u,v < n)
 #
 # A field is an optional "-" and 1 to 4300 ASCII digits, with no "+" and
-# no "_".
+# no "_"; any whitespace separates the two fields of a line.
 
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a canonical :class:`Graph`.
@@ -296,6 +351,42 @@ def parse_edge_list(text: str) -> Graph:
     A header order above :data:`DEFAULT_VERTEX_CAP` is rejected on the
     header line, before anything of that size is allocated.
     """
+    nums = _bulk_fields(text)
+    if nums is not None and 1 <= nums[0] <= DEFAULT_VERTEX_CAP and nums[1] == len(nums) // 2 - 1:
+        return Graph(nums[0], zip(nums[2::2], nums[3::2]))
+    return _parse_lines(text)
+
+
+#: Deletes the characters a bulk-read field may hold, leaving the separators.
+_FIELD_CHARS = str.maketrans("", "", "-0123456789")
+
+
+def _bulk_fields(text: str) -> list[int] | None:
+    """Every field of the lines that are not blank or comments, as ints; or
+    ``None`` unless each such line is two runs of ASCII digits and ``-``
+    split by one space, and ``int`` reads every run.
+
+    On such lines ``int`` and the line loop read the same values.  Its lines
+    and fields are freed on return, before the graph is built.
+    """
+    rows = [line for line in text.splitlines()
+            if line and line[0] != "#" and not line.isspace()]
+    data = "\n".join(rows)
+    # one space per row and nothing else besides digits and "-"; a run
+    # that is empty shows as a missing field in the count below
+    if data.translate(_FIELD_CHARS) != " \n" * (len(rows) - 1) + " ":
+        return None
+    fields = data.split()
+    if len(fields) != 2 * len(rows):
+        return None
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str) -> Graph:
+    """The line-by-line reader: the only one that reports syntax errors."""
     # int() also reads "1_0", "+2" and non-ASCII digits, so a text that holds
     # any of those has its fields matched against the grammar
     strict = "_" in text or "+" in text or not text.isascii()
@@ -319,12 +410,12 @@ def parse_edge_list(text: str) -> Graph:
             # int() refuses a well-formed field only past its digit limit
             if all(re.fullmatch("-?[0-9]+", f) for f in fields):
                 raise EdgeListSyntaxError("field longer than 4300 digits", lineno) from None
-            raise EdgeListSyntaxError(f"non-integer field in {line!r}", lineno) from None
+            raise EdgeListSyntaxError(f"non-integer field in {_echo(line)}", lineno) from None
         if header is None:
             header = (a, b)
             header_line = lineno
             if a < 1 or b < 0:
-                raise EdgeListSyntaxError(f"bad header {line!r}", lineno)
+                raise EdgeListSyntaxError(f"bad header {_echo(line)}", lineno)
             if a > DEFAULT_VERTEX_CAP:
                 raise EdgeListSyntaxError(
                     f"order {a} exceeds vertex cap {DEFAULT_VERTEX_CAP}", lineno
@@ -346,9 +437,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def serialize_edge_list(G: Graph) -> str:
     """Serialize ``G``; ``parse_edge_list`` inverts this exactly."""
-    lines = [f"{G.order} {G.size}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges)
-    return "\n".join(lines) + "\n"
+    return f"{G.order} {G.size}\n" + "".join(map("%d %d\n".__mod__, G.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +454,7 @@ def random_graph(order: int, edge_probability: float, seed: int) -> Graph:
     """
     if not 0.0 <= edge_probability <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {edge_probability}")
+    _check_order(order)
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -372,4 +462,4 @@ def random_graph(order: int, edge_probability: float, seed: int) -> Graph:
         for v in range(u + 1, order)
         if rng.random() < edge_probability
     ]
-    return Graph(order, edges)
+    return Graph._from_canonical(order, edges)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import nbzagreb.graphs
+import nbzagreb.products
 from nbzagreb import (
     CONSISTENT,
     ERRATUM,
@@ -287,7 +288,16 @@ class TestVerify:
         assert reports_to_csv([report]).splitlines()[1] == "HAMMING,sizes=2x2x2x2x2x2,,,"
 
     def test_skipped_trials_evaluate_neither_side(self, monkeypatch):
-        monkeypatch.setattr(nbzagreb.graphs, "DEFAULT_VERTEX_CAP", 0)
+        # the factors are graphs too, so the cap is lowered for the product
+        # only: a cap below their order would refuse the factors as well
+        def refuse(subject, count, **kwargs):
+            raise nbzagreb.graphs.SizeOverflowError(f"{subject} {count} exceeds vertex cap 0")
+
+        def evaluated(*stats):
+            raise AssertionError("closed form evaluated for a skipped point")
+
+        monkeypatch.setattr(nbzagreb.products, "_check_cap", refuse)
+        monkeypatch.setattr(formulas, "mn_cartesian", evaluated)
         report = verify("PROP1", seed=1, trials=5)
         assert report.skipped_points == 5
         assert all(p.closed is None for p in report.points)

@@ -29,7 +29,8 @@ from nbzagreb import (
     serialize_edge_list,
     star_graph,
 )
-from nbzagreb.graphs import DEFAULT_VERTEX_CAP
+from nbzagreb import graphs as graphs_module
+from nbzagreb.graphs import DEFAULT_VERTEX_CAP, SizeOverflowError, _echo
 
 from oracle_helpers import adjacency_from_edges
 
@@ -91,6 +92,43 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(0)
 
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (10 ** 20, "order 100000000000000000000 exceeds vertex cap 1000000"),
+            (DEFAULT_VERTEX_CAP + 1, "order 1000001 exceeds vertex cap 1000000"),
+            (10 ** 5000, "order 1" + "0" * 29 + "... (5001 digits) exceeds vertex cap 1000000"),
+        ],
+        ids=["1e20", "cap+1", "1e5000"],
+    )
+    def test_order_above_the_cap_refused(self, order, message):
+        with pytest.raises(SizeOverflowError) as exc:
+            Graph(order, [(0, 1)])
+        assert str(exc.value) == message
+
+    # ids past CPython's int-string limit have no str(); the message must not need one
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Graph(3, [(0, 10 ** 5000)]), VertexOutOfRangeError,
+             "edge (0, 1" + "0" * 29 + "... (5001 digits)) has a vertex outside 0..2"),
+            (lambda: Graph(3, [(10 ** 5000, 10 ** 5000)]), VertexOutOfRangeError,
+             "edge (1{z}... (5001 digits), 1{z}... (5001 digits)) has a vertex outside 0..2"
+             .format(z="0" * 29)),
+            (lambda: path_graph(3).degree(10 ** 5000), VertexOutOfRangeError,
+             "vertex 1" + "0" * 29 + "... (5001 digits) outside 0..2"),
+            (lambda: Graph(-(10 ** 5000)), GraphError,
+             "order must be >= 1, got -1" + "0" * 29 + "... (5001 digits)"),
+            (lambda: cycle_graph(-(10 ** 5000)), GraphError,
+             "cycle needs at least 3 vertices, got -1" + "0" * 29 + "... (5001 digits)"),
+        ],
+        ids=["edge", "loop", "degree", "order", "cycle"],
+    )
+    def test_huge_vertex_ids_refused_by_graph_errors(self, build, error, message):
+        with pytest.raises(GraphError) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
+
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 0), (3, 0), (0, 1)])
         assert g.neighbors(0) == (1, 2, 3)
@@ -141,7 +179,10 @@ class TestCanonicalFill:
         assert [h.degree(v) for v in range(h.order)] == list(h.degrees())
 
 
-BUILDS = ("Graph", "_from_canonical", "parse_edge_list", *(k.value for k in ProductKind))
+#: Rebuilds of one graph, through the int-code constructor (``Graph``, and both
+#: edge-list readers) or the trusted fill, then the three products.
+REBUILDS = ("Graph", "_from_canonical", "parse_edge_list", "_parse_lines")
+BUILDS = (*REBUILDS, *(k.value for k in ProductKind))
 
 
 def _build(how, g, h):
@@ -152,6 +193,8 @@ def _build(how, g, h):
         return Graph._from_canonical(g.order, list(reversed(g.edges)))
     if how == "parse_edge_list":
         return parse_edge_list(serialize_edge_list(g))
+    if how == "_parse_lines":
+        return graphs_module._parse_lines(serialize_edge_list(g))
     return product(g, h, ProductKind(how))
 
 
@@ -162,11 +205,17 @@ class TestStoredLayout:
     @example("Graph", empty_graph(1), empty_graph(1))
     @example("_from_canonical", Graph(5, [(1, 3)]), empty_graph(1))
     @example("parse_edge_list", Graph(4, [(0, 2)]), empty_graph(1))
+    @example("_parse_lines", Graph(4, [(0, 3), (1, 2)]), empty_graph(1))
     @example("cartesian", empty_graph(1), Graph(3, [(0, 2)]))
     @example("tensor", Graph(3, [(0, 1)]), Graph(3, [(1, 2)]))
     @example("wreath", Graph(3, [(1, 2)]), empty_graph(2))
     def test_adjacency_and_sums_match_the_edges(self, how, g, h):
         G = _build(how, g, h)
+        # canonical: sorted, distinct pairs of plain ints u < v
+        assert list(G.edges) == sorted(set(G.edges))
+        assert all(type(u) is type(v) is int and 0 <= u < v < G.order for u, v in G.edges)
+        if how in REBUILDS:
+            assert G == g and G.edges == g.edges and G.degrees() == g.degrees()
         sums = G.neighbor_degree_sums()
         assert G._adj is None
         oracle = adjacency_from_edges(G.order, G.edges)
@@ -317,6 +366,33 @@ class TestEdgeListFormat:
         assert str(exc.value) == f"line {line}: field longer than 4300 digits"
         assert exc.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("1_0 " + "1" * 5000 + "\n", EdgeListSyntaxError,
+             "line 1: non-integer field in '1_0 " + "1" * 26 + "'... (5004 characters)"),
+            ("2 1\n0 -" + "1" * 4300 + "\n", VertexOutOfRangeError,
+             "edge (0, -" + "1" * 30 + "... (4300 digits)) has a vertex outside 0..1"),
+            ("2 " + "-" * 70 + "\n", EdgeListSyntaxError,
+             "line 1: non-integer field in '2 " + "-" * 28 + "'... (72 characters)"),
+        ],
+    )
+    def test_echoed_line_or_id_is_bounded(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_edge_list(text)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    @pytest.mark.parametrize("digits", [61, 4300, 4301, 5000])
+    def test_echo_counts_digits_next_to_powers_of_ten(self, digits):
+        head = "1" + "0" * 29
+        assert _echo(10 ** (digits - 1)) == f"{head}... ({digits} digits)"
+        assert _echo(10 ** digits - 1) == f"{'9' * 30}... ({digits} digits)"
+        assert _echo(-(10 ** digits)) == f"-{head}... ({digits + 1} digits)"
+
+    def test_echo_keeps_short_values_whole(self):
+        assert _echo(10 ** 60 - 1) == "9" * 60 and _echo(-(10 ** 60) + 1) == "-" + "9" * 60
+        assert _echo("x" * 60) == repr("x" * 60)
+
     def test_field_of_4300_digits_read(self):
         with pytest.raises(EdgeListSyntaxError, match="^line 1: order 1{4300} exceeds vertex cap"):
             parse_edge_list("1" * 4300 + " 0\n")
@@ -381,6 +457,91 @@ class TestEdgeListFormat:
         assert parse_edge_list(serialize_edge_list(g)) == g
 
 
+#: Characters that int(), str.split() and str.splitlines() read differently,
+#: plus the format's own; \u0663 is an Arabic-Indic three.
+HOSTILE = "0123456789-+_ \t\r\x0b\x1f#\n\u0663"
+
+
+def _outcome(parse, text):
+    """The graph ``parse`` returns, or the type, message and line it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@st.composite
+def mutated_serializations(draw):
+    """A random graph's edge list, shuffled and flipped, with comments and
+    blank lines, then up to three insertions, deletions or replacements."""
+    g = draw(graphs(max_order=8))
+    rows = [f"{v} {u}" if draw(st.booleans()) else f"{u} {v}" for u, v in g.edges]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(("", "   ", "# c"))))
+    text = f"{g.order} {g.size}\n" + "".join(row + "\n" for row in rows)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from([*HOSTILE, "", "# c\n", "  ", "-0"]))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+class TestBulkRead:
+    """``parse_edge_list`` reads a plain text in bulk and hands anything else to
+    the line loop, ``_parse_lines``, which stays the reference."""
+
+    @given(st.text(alphabet=HOSTILE, max_size=30))
+    @example("2 1\n0 1\x1f\n")
+    @example("2 1\n0\t 1\n")
+    @example("2 1\n\t0 1\n")
+    @example("2 1\n  # c\n0 1\n")
+    @example("2 1\n0 -0\n")
+    @example("3 1\n0 1\n1 2\n")
+    @example("3 2\n0 1\n")
+    @example("0 0\n")
+    @example("-1 0\n")
+    @example(f"{DEFAULT_VERTEX_CAP + 1} 0\n")
+    def test_hostile_text_reads_as_the_line_loop(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(graphs_module._parse_lines, text)
+
+    @given(mutated_serializations())
+    # a row of three fields and a row of one hold two spaces between them
+    @example("05 4\n   \n1 402 3\n   \n2 4\n3 4\n0")
+    @example("2 1\n1 \n 0\n")
+    def test_mutated_serialization_reads_as_the_line_loop(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(graphs_module._parse_lines, text)
+
+    @staticmethod
+    def _benchmark_shaped(sep):
+        """A grid's edges, shuffled and half flipped, with a comment header
+        and comment, blank and space-only lines among them."""
+        g = product(path_graph(6), path_graph(7), ProductKind.CARTESIAN)
+        rng = random.Random(5)
+        rows = [f"{v}{sep}{u}" if rng.random() < 0.5 else f"{u}{sep}{v}" for u, v in g.edges]
+        rng.shuffle(rows)
+        for filler in ("# comment", "", "   ", "# 1_0 +2 \u0663"):
+            rows.insert(rng.randrange(len(rows)), filler)
+        return g, f"# seeded edge list\n{g.order} {g.size}\n" + "\n".join(rows) + "\n"
+
+    def test_plain_text_never_reaches_the_line_loop(self, monkeypatch):
+        def line_loop(text):
+            raise AssertionError("line loop reached")
+
+        monkeypatch.setattr(graphs_module, "_parse_lines", line_loop)
+        g, text = self._benchmark_shaped(" ")
+        assert parse_edge_list(text) == g
+        _, tabbed = self._benchmark_shaped("\t")
+        with pytest.raises(AssertionError, match="line loop reached"):
+            parse_edge_list(tabbed)
+
+    @pytest.mark.parametrize("sep", [" ", "\t"])
+    def test_both_paths_read_the_benchmark_shape(self, sep):
+        g, text = self._benchmark_shaped(sep)
+        assert parse_edge_list(text) == graphs_module._parse_lines(text) == g
+
+
 class TestRandomGraph:
     def test_zero_probability_is_edgeless(self):
         assert random_graph(5, 0.0, 3) == empty_graph(5)
@@ -394,3 +555,40 @@ class TestRandomGraph:
     def test_probability_validated(self):
         with pytest.raises(GraphError):
             random_graph(5, 1.5, 0)
+
+
+class TestTrustedBuilders:
+    """The elementary builders skip pair validation: their output must be
+    what the validating constructor builds from the same pairs."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_builders_equal_validated_construction(self, n):
+        cases = [
+            (empty_graph, []),
+            (path_graph, [(i, i + 1) for i in range(n - 1)]),
+            (star_graph, [(0, i) for i in range(1, n)]),
+            (complete_graph, [(i, j) for i in range(n) for j in range(i + 1, n)]),
+        ]
+        if n >= 3:
+            cases.append((cycle_graph, [(i, (i + 1) % n) for i in range(n)]))
+        for builder, pairs in cases:
+            G, H = builder(n), Graph(n, pairs)
+            assert G == H and G.degrees() == H.degrees(), builder.__name__
+
+    @given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 2 ** 32))
+    def test_random_graph_equals_validated_construction(self, n, p, seed):
+        G = random_graph(n, p, seed)
+        # Graph() raises on a repeated pair and reorients a flipped one
+        H = Graph(n, G.edges)
+        assert G == H and G.degrees() == H.degrees()
+
+    @pytest.mark.parametrize(
+        "build",
+        [empty_graph, path_graph, cycle_graph, star_graph, complete_graph,
+         lambda n: random_graph(n, 0.0, 1)],
+        ids=["empty", "path", "cycle", "star", "complete", "random"],
+    )
+    def test_order_above_the_cap_refused_before_any_pair(self, build):
+        # each is refused before it builds a pair or draws a variate
+        with pytest.raises(SizeOverflowError):
+            build(DEFAULT_VERTEX_CAP + 1)
