@@ -201,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(path: str):
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    # "utf-8-sig" drops a byte-order mark, which some editors write first
+    return parse_edge_list(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _cmd_compute(args) -> int:

@@ -65,7 +65,7 @@ graph is refused at O(order) memory.
 
 ``HARARY`` fills a histogram of ordered vertex pairs per distance, then
 builds one ``Fraction`` over the least common multiple of the distances.
-Two kernels fill the same exact histogram:
+Three kernels fill the same exact histogram:
 
 * Per-source BFS runs one BFS from each vertex.  Time
   O(order * (order + size)), memory O(order).
@@ -77,14 +77,23 @@ Two kernels fill the same exact histogram:
   diameter * (order + size) big-int operations on order-bit ints, memory
   at most about 3 * order**2 / 8 bytes (about 18 MB at order 7071, the
   largest the budget admits).
+* The tree kernel takes each component of a forest from its BFS order: a
+  pair meets at its lowest common ancestor, so the histogram follows from
+  the depth profiles of the subtrees, merged small into large as the
+  order is folded up (Mohar and Pisanski, J. Math. Chem. 2 (1988)
+  267-277, for the Wiener sum).  Time O(k) for a k-vertex tree plus the
+  merges at branching vertices, at most one C-level element operation
+  per vertex pair; memory O(k).
 
-The deepest second sweep over the components gives a diameter estimate L,
-at least half the largest component diameter.  The bitset kernel runs
-when 4 * L < order, per-source BFS otherwise: on paths, cycles, ladders
-and long spiders the bitsets' levels cost more than the sources they
-share.  :data:`HARARY_WORK_BUDGET` bounds order * (order + size), the
-per-source BFS steps, which is an upper bound for both kernels; it is
-checked before the adjacency is read or any BFS runs.
+A forest, a graph with order - size components, takes the tree kernel.
+For any other graph the deepest second sweep over the components gives a
+diameter estimate L, at least half the largest component diameter.  The
+bitset kernel runs when 4 * L < order, per-source BFS otherwise: on
+cycles, ladders and other long graphs the bitsets' levels cost more than
+the sources they share.  :data:`HARARY_WORK_BUDGET` bounds
+order * (order + size), the per-source BFS steps, which is an upper bound
+for all three kernels; it is checked before the adjacency is read or any
+BFS runs.
 """
 
 from __future__ import annotations
@@ -92,6 +101,8 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 from .graphs import Graph
 
@@ -104,7 +115,7 @@ COUNTING_ORDER_LIMIT = 32
 COUNTING_STATE_BUDGET = 1 << 16
 
 #: Budget of HARARY in per-source BFS steps, order * (order + size): an
-#: upper bound for both kernels (see the module docstring).
+#: upper bound for all three kernels (see the module docstring).
 HARARY_WORK_BUDGET = 5 * 10 ** 7
 
 
@@ -139,10 +150,11 @@ def randic(G: Graph) -> float:
 def harary(G: Graph) -> Fraction:
     """Sum of reciprocal distances over unordered reachable pairs, exact.
 
-    The distance histogram comes from the bitset kernel when a double-sweep
-    diameter estimate L has 4 * L < order, and from one BFS per source
-    otherwise (see the module docstring).  Over :data:`HARARY_WORK_BUDGET`
-    per-source BFS steps, an upper bound for both kernels, it raises
+    The distance histogram comes from the tree kernel on a forest; on any
+    other graph, from the bitset kernel when a double-sweep diameter
+    estimate L has 4 * L < order, and from one BFS per source otherwise
+    (see the module docstring).  Over :data:`HARARY_WORK_BUDGET` per-source
+    BFS steps, an upper bound for all three kernels, it raises
     :class:`TooLargeError` before any BFS runs.
     """
     _check_budget("HARARY", G.order, G.size, cyclic=False)
@@ -156,18 +168,25 @@ def harary(G: Graph) -> Fraction:
 def _distance_histogram(G: Graph) -> list[int]:
     """``hist[d]``: ordered vertex pairs at distance d >= 1; ``hist[0]`` is 0.
 
-    Picks the bitset kernel or per-source BFS from the graph's diameter
-    estimate; see the module docstring.
+    A forest goes through the tree kernel, component by component; any
+    other graph takes the bitset kernel or per-source BFS by its diameter
+    estimate.  See the module docstring.
     """
-    if 4 * _diameter_estimate(G) < G.order:
+    adj = G.adjacency
+    mark, components = _components(adj)
+    if len(components) == G.order - G.size:
+        hist = [0]
+        for order, up in components:
+            _tree_histogram(order, up, hist)
+        return hist
+    if 4 * _diameter_estimate(adj, mark, components) < G.order:
         return _bitset_histogram(G)
     return _per_source_histogram(G)
 
 
-def _diameter_estimate(G: Graph) -> int:
-    """Depth of the deepest second sweep over the components of ``G``."""
-    adj = G.adjacency
-    mark, components = _components(adj)
+def _diameter_estimate(adj, mark: list[int], components) -> int:
+    """Depth of the deepest second sweep over the :func:`_components` of a
+    graph, from its ``mark`` list and components."""
     estimate = 0
     for order, _ in components:
         _, up = _second_sweep(adj, order, mark)
@@ -177,6 +196,65 @@ def _diameter_estimate(G: Graph) -> int:
             depth += 1
         estimate = max(estimate, depth)
     return estimate
+
+
+def _tree_histogram(order: list[int], up: list[int], hist: list[int]) -> None:
+    """Add the ordered-pair distance counts of one tree component to ``hist``.
+
+    The component comes as a :func:`_bfs` order with its ``up`` links, and
+    is folded from its last position to its first.  Each folded subtree
+    keeps its depth profile reversed, last entry first level below its
+    parent, so that lifting it one level is an ``append(1)``; see
+    :func:`_merge_profiles` for the pairs that meet below a vertex.  Leaves
+    are counted per parent and merge as one profile when the parent is
+    reached.  The root's profile then counts the pairs that meet at one of
+    their ends: a vertex at depth >= d has one ancestor d above it.  Leaves
+    ``hist`` without trailing zeros.
+    """
+    k = len(order)
+    # no distance reaches k, and hist[2] takes the leaves' pairs
+    hist.extend([0] * (k + 1 - len(hist)))
+    profile: list = [None] * k
+    leaves = [0] * k
+    for c in range(k - 1, -1, -1):
+        mine = profile[c]
+        count = leaves[c]
+        if count:
+            # leaves under c meet each other at distance 2
+            hist[2] += count * (count - 1)
+            mine = [count] if mine is None else _merge_profiles(mine, [count], hist)
+        if not c:
+            break
+        p = up[c]
+        if mine is None:
+            leaves[p] += 1
+            continue
+        mine.append(1)
+        theirs = profile[p]
+        profile[p] = mine if theirs is None else _merge_profiles(theirs, mine, hist)
+    if mine:
+        depth = len(mine)
+        hist[depth:0:-1] = map(add, hist[depth:0:-1], map((2).__mul__, accumulate(mine)))
+    # every distance up to the largest one occurs
+    hist.append(0)
+    del hist[hist.index(0, 1):]
+
+
+def _merge_profiles(ours: list[int], theirs: list[int], hist: list[int]) -> list[int]:
+    """Merge two reversed depth profiles below one vertex, and return the
+    merged profile, the longer list reused.
+
+    A vertex i levels below in one and one j levels below in the other are
+    i + j apart: the loop runs over the shorter profile and adds one
+    C-level row of the longer one to ``hist`` per entry.
+    """
+    if len(ours) < len(theirs):
+        ours, theirs = theirs, ours
+    m = len(ours)
+    for a, x in enumerate(reversed(theirs), 2):
+        hist[a:a + m] = map(add, hist[a:a + m], map((2 * x).__mul__, reversed(ours)))
+    ours[m - len(theirs):] = map(add, ours[m - len(theirs):], theirs)
+    return ours
 
 
 def _bfs(adj, root: int, mark: list[int], stamp: int) -> tuple[list[int], list[int]]:

@@ -66,6 +66,21 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--input", str(f), "--index", "M1")
         assert code == 0 and out == "10\n"
 
+    @pytest.mark.parametrize("command", [
+        ("compute", "--index", "MN"),
+        ("product", "--kind", "cartesian"),
+    ])
+    def test_byte_order_mark_ignored(self, capsys, tmp_path, command):
+        text = "# P3\n3 2\n0 1\n1 2\n"
+        outputs = []
+        for name, data in (("plain.txt", text.encode()), ("bom.txt", b"\xef\xbb\xbf" + text.encode())):
+            f = tmp_path / name
+            f.write_bytes(data)
+            inputs = ["--input", str(f)] * (2 if command[0] == "product" else 1)
+            outputs.append(run(capsys, command[0], *inputs, *command[1:]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][1]
+
     def test_rational_output(self, capsys):
         code, out, _ = run(capsys, "compute", "--family", "path", "--n", "3", "--index", "HARARY")
         assert code == 0 and out == "5/2\n"

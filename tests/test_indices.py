@@ -451,6 +451,46 @@ def _spider(legs, length):
     return Graph(1 + legs * length, edges)
 
 
+def _spider_with_chord(legs, length):
+    """:func:`_spider` with the first vertices of its first two legs joined."""
+    g = _spider(legs, length)
+    return Graph(g.order, [*g.edges, (1, 1 + length)])
+
+
+@st.composite
+def forests(draw, max_components=3):
+    """Relabelled forests of isolated vertices, single edges, stars,
+    spiders, caterpillars and random recursive trees, each at most 15
+    vertices."""
+    edges = []
+    n = 0
+    for shape in draw(st.lists(st.sampled_from(
+            ("K1", "K2", "star", "spider", "caterpillar", "random")),
+            min_size=1, max_size=max_components)):
+        # parents[v - 1] < v is the parent of component vertex v
+        if shape == "K1":
+            parents = []
+        elif shape == "K2":
+            parents = [0]
+        elif shape == "star":
+            parents = [0] * draw(st.integers(2, 14))
+        elif shape == "spider":
+            legs, length = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+            parents = [leg * length + j if j else 0
+                       for leg in range(legs) for j in range(length)]
+        elif shape == "caterpillar":
+            spine = draw(st.integers(2, 5))
+            parents = list(range(spine - 1))
+            for i in range(spine):
+                parents += [i] * draw(st.integers(0, 2))
+        else:
+            parents = [draw(st.integers(0, v - 1)) for v in range(1, draw(st.integers(2, 15)))]
+        edges += [(n + p, n + v) for v, p in enumerate(parents, 1)]
+        n += 1 + len(parents)
+    label = draw(st.permutations(range(n)))
+    return Graph(n, sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
+
+
 def _random_connected(n, seed):
     """A random spanning tree plus n // 2 random chords."""
     rng = random.Random(seed)
@@ -468,7 +508,8 @@ def _refuse_kernel(monkeypatch, name):
 
 
 class TestHararyKernels:
-    """The bitset kernel and per-source BFS fill the same histogram; the
+    """The tree kernel, the bitset kernel and per-source BFS fill the same
+    histogram.  A forest takes the tree kernel; on any other graph the
     double-sweep diameter estimate L picks bitsets iff 4 * L < order."""
 
     @staticmethod
@@ -493,18 +534,17 @@ class TestHararyKernels:
     @pytest.mark.parametrize(
         "g",
         [
-            pytest.param(path_graph(40), id="path40"),
             pytest.param(cycle_graph(40), id="cycle40"),
             pytest.param(families.ladder(30), id="ladder30"),
             # from its centre, vertex 0, the spider is only 25 deep and
             # 4 * 25 < 101; the second sweep finds the diameter 50
-            pytest.param(_spider(4, 25), id="spider101"),
+            pytest.param(_spider_with_chord(4, 25), id="spider101+chord"),
             pytest.param(complete_graph(4), id="K4"),
             pytest.param(families.hypercube(4), id="Q4"),
             pytest.param(families.grid(4, 4), id="grid4x4"),
             pytest.param(
-                Graph(45, [(i, i + 1) for i in range(39)] + [(40, 41), (41, 42)]),
-                id="path40+path3+2K1",
+                Graph(45, [(i, i + 1) for i in range(39)] + [(0, 39), (40, 41), (41, 42)]),
+                id="cycle40+path3+2K1",
             ),
         ],
     )
@@ -523,15 +563,55 @@ class TestHararyKernels:
             pytest.param(families.hypercube(7), id="Q7"),
             pytest.param(_random_connected(60, 1), id="connected60"),
             pytest.param(_random_connected(200, 2), id="connected200"),
-            pytest.param(empty_graph(1), id="K1"),
-            pytest.param(empty_graph(9), id="edgeless9"),
-            pytest.param(Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), id="4K2"),
+            pytest.param(Graph(7, [(0, 1), (0, 2), (1, 2)]), id="K3+4K1"),
+            pytest.param(Graph(11, [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (7, 8), (9, 10)]),
+                         id="K3+4K2"),
         ],
     )
     def test_short_graphs_take_bitsets(self, monkeypatch, g):
         expected = indices._per_source_histogram(g)
         _refuse_kernel(monkeypatch, "_per_source_histogram")
         assert indices._distance_histogram(g) == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(path_graph(40), id="path40"),
+            pytest.param(_spider(4, 25), id="spider101"),
+            pytest.param(
+                Graph(45, [(i, i + 1) for i in range(39)] + [(40, 41), (41, 42)]),
+                id="path40+path3+2K1",
+            ),
+            pytest.param(empty_graph(1), id="K1"),
+            pytest.param(empty_graph(9), id="edgeless9"),
+            pytest.param(Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), id="4K2"),
+        ],
+    )
+    def test_forests_take_the_tree_kernel(self, monkeypatch, g):
+        expected = indices._per_source_histogram(g)
+        _refuse_kernel(monkeypatch, "_bitset_histogram")
+        _refuse_kernel(monkeypatch, "_per_source_histogram")
+        assert indices._distance_histogram(g) == expected
+
+    @given(forests())
+    @example(empty_graph(1))
+    @example(empty_graph(5))
+    @example(Graph(6, [(0, 5), (1, 4), (2, 3)]))
+    @example(star_graph(12))
+    @example(_spider(3, 4))
+    def test_tree_kernel_against_floyd_warshall(self, g):
+        hist = [0]
+        for order, up in indices._components(g.adjacency)[1]:
+            indices._tree_histogram(order, up, hist)
+        assert hist == indices._per_source_histogram(g) == self._fw_histogram(g)
+        assert indices._distance_histogram(g) == hist
+
+    def test_path_at_the_budget_on_the_tree_kernel(self):
+        # 5000 * (5000 + 4999) steps: just inside HARARY_WORK_BUDGET, and
+        # seconds of per-source BFS
+        g = path_graph(5000)
+        indices._check_budget("HARARY", g.order, g.size, cyclic=False)
+        assert indices._distance_histogram(g) == [0] + [2 * (5000 - d) for d in range(1, 5000)]
 
     def test_complete_closed_form_on_bitsets(self, monkeypatch):
         _refuse_kernel(monkeypatch, "_per_source_histogram")
@@ -578,11 +658,16 @@ class TestTraversal:
         # component diameter
         dist = floyd_warshall(g.order, g.edges)
         diameter = max(int(d) for row in dist for d in row if d != math.inf)
-        assert -(-diameter // 2) <= indices._diameter_estimate(g) <= diameter
+        assert -(-diameter // 2) <= self._estimate(g) <= diameter
 
     def test_second_sweep_finds_the_spider_diameter(self):
         # from its centre, vertex 0, the spider is only 25 deep
-        assert indices._diameter_estimate(_spider(4, 25)) == 50
+        assert self._estimate(_spider(4, 25)) == 50
+
+    @staticmethod
+    def _estimate(g):
+        adj = g.adjacency
+        return indices._diameter_estimate(adj, *indices._components(adj))
 
 
 class TestComputeIndex:
