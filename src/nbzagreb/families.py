@@ -17,11 +17,10 @@ serves the named builders, :func:`build_family` and :func:`plan_family`.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import reduce
 from math import prod
 
 from .graphs import _SIZES, Graph, _check_cap, complete_graph, cycle_graph, path_graph
-from .products import _CARTESIAN, _CONSTRUCTORS, _WREATH, ProductKind, _check_product
+from .products import _CARTESIAN, _CONSTRUCTORS, _WREATH, ProductKind, _check_product, cartesian_n
 
 
 def _check_order(*factor_orders: int) -> None:
@@ -53,10 +52,13 @@ def _plan(kind: ProductKind | None, *factors: tuple[Callable, int]) -> tuple[int
 
 
 def _product(kind: ProductKind | None, *factors: tuple[Callable, int]) -> Graph:
-    """The member that :func:`_plan` admits: every factor built, then folded."""
+    """The member that :func:`_plan` admits: every factor built, then the
+    product, in one pass for any number of cartesian factors."""
     _plan(kind, *factors)
     graphs = [build(n) for build, n in factors]
-    return graphs[0] if kind is None else reduce(_CONSTRUCTORS[kind], graphs)
+    if kind is None:
+        return graphs[0]
+    return cartesian_n(graphs) if kind is _CARTESIAN else _CONSTRUCTORS[kind](*graphs)
 
 
 def _build(name: str, *params) -> Graph:

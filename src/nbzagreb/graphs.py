@@ -5,14 +5,18 @@ construction (lexicographically sorted edge list, sorted neighbour tuples)
 and value-semantic: two graphs compare equal iff they have the same order
 and the same edge set.
 
-A graph stores its order, the sorted edge tuple and the degree tuple.  The
-per-vertex neighbour tuples (``adjacency``) are built on first use and
-cached, because the degree-based indices, edge-list I/O and the products
-read only edges and degrees, and one container per vertex (plus the cyclic
-garbage collector's passes over them) was most of a large build's cost.
-Graphs can be shared between threads: two threads reading ``adjacency`` of
-a fresh graph may both build it, which is harmless because both results
-are equal.
+A graph stores its order, the sorted edge tuple and the degree tuple.  It
+caches two things, each built on first use: the per-vertex neighbour
+tuples (``adjacency``) and the tuple of neighbour-degree sums
+(``neighbor_degree_sums()``, one sweep over the edges).  The adjacency is
+not stored up front because the degree-based indices, edge-list I/O and
+the products read only edges, degrees and the sums, and one container per
+vertex (plus the cyclic garbage collector's passes over them) was most of
+a large build's cost.  The sums serve M2, MN and the per-vertex
+``neighbor_degree_sum``.  Neither cache is part of a graph's value: copy
+and pickle drop both.  Graphs can be shared between threads: two threads
+reading a cache of a fresh graph may both build it, which is harmless
+because both results are equal.
 
 Construction has two steps.  ``Graph(order, edge_pairs)`` refuses an order
 above the vertex cap, then validates every pair and collects its canonical
@@ -146,10 +150,12 @@ class Graph:
 
     Stored: ``_order``, the sorted ``_edges`` and the ``_degrees`` tuple.
     ``_adj`` is ``None`` until ``adjacency`` is first read, which builds
-    the neighbour tuples from the edges and caches them.
+    the neighbour tuples from the edges and caches them; ``_sums`` is
+    ``None`` until ``neighbor_degree_sums`` is first called, which fills it
+    the same way.
     """
 
-    __slots__ = ("_order", "_adj", "_edges", "_degrees")
+    __slots__ = ("_order", "_adj", "_edges", "_degrees", "_sums")
 
     def __init__(self, order: int, edge_pairs: Iterable[tuple[int, int]] = ()):
         _check_order(order)
@@ -186,13 +192,14 @@ class Graph:
         object.__setattr__(self, "_edges", tuple(keys))
         object.__setattr__(self, "_degrees", tuple(degrees))
         object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_sums", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the validating
-        # constructor; the cached adjacency is not carried over
+        # constructor; the cached adjacency and sums are not carried over
         return (Graph, (self._order, self._edges))
 
     @property
@@ -239,16 +246,21 @@ class Graph:
     def neighbor_degree_sum(self, v: int) -> int:
         """Sum of the degrees of the neighbours of ``v``."""
         self._check_vertex(v)
-        return sum(map(self._degrees.__getitem__, self.adjacency[v]))
+        return self.neighbor_degree_sums()[v]
 
     def neighbor_degree_sums(self) -> tuple[int, ...]:
-        """Every vertex's neighbour-degree sum, from one sweep over the edges."""
-        degrees = self._degrees
-        sums = [0] * self._order
-        for u, v in self._edges:
-            sums[u] += degrees[v]
-            sums[v] += degrees[u]
-        return tuple(sums)
+        """Every vertex's neighbour-degree sum, from one sweep over the
+        edges on first use, then cached."""
+        sums = self._sums
+        if sums is None:
+            degrees = self._degrees
+            counts = [0] * self._order
+            for u, v in self._edges:
+                counts[u] += degrees[v]
+                counts[v] += degrees[u]
+            sums = tuple(counts)
+            object.__setattr__(self, "_sums", sums)
+        return sums
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)

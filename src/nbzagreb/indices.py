@@ -20,10 +20,19 @@ rational, and ``CHI`` is the single floating-point index.  Unreachable
 vertex pairs contribute 0 to ``HARARY``, so disconnected graphs are legal
 everywhere.
 
-The five degree indices (M1, M2, MN, F and CHI) take one pass over the
-degrees or the edges.  The other three are counted by algorithm and
-bounded by a budget, a module constant; past it they raise
-:class:`TooLargeError` before allocating anything of the refused size.
+The five degree indices (M1, M2, MN, F and CHI) take two sweeps over the
+edges between them; M1 and F read only the degree tuple.  M2 and MN share
+one sweep: the graph's cached neighbour-degree sums, from which MN is the
+sum of their squares and M2 is ``sum(deg(v) * sum(v)) // 2``, exact
+because each edge is counted once from each end.  CHI sweeps the edges
+itself and looks each term
+``1.0 / sqrt(deg(u) * deg(v))`` up in a memo keyed by the degree product,
+so it sums the same floats in the same order as the definition; an
+edgeless graph has CHI ``0.0``.
+
+The other three are counted by algorithm and bounded by a budget, a
+module constant; past it they raise :class:`TooLargeError` before
+allocating anything of the refused size.
 Each budget's up-front rule, on order and size alone, is one function,
 ``_check_budget``; ``compute --family`` calls it on a member's planned
 order and size (:func:`nbzagreb.families.plan_family`) before building it.
@@ -102,7 +111,7 @@ import math
 from array import array
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 
 from .graphs import Graph
 
@@ -126,7 +135,8 @@ class TooLargeError(ValueError):
 
 def neighbourhood_zagreb(G: Graph) -> int:
     """Sum of squared neighbour-degree sums over all vertices."""
-    return sum(d * d for d in G.neighbor_degree_sums())
+    sums = G.neighbor_degree_sums()
+    return sum(map(mul, sums, sums))
 
 
 def first_zagreb(G: Graph) -> int:
@@ -134,17 +144,27 @@ def first_zagreb(G: Graph) -> int:
 
 
 def second_zagreb(G: Graph) -> int:
-    deg = G.degrees()
-    return sum(deg[u] * deg[v] for u, v in G.edges)
+    # each edge uv is counted once from each end: deg(u) * deg(v) is in
+    # deg(u) * sum(u) and in deg(v) * sum(v)
+    return sum(map(mul, G.degrees(), G.neighbor_degree_sums())) // 2
 
 
 def forgotten(G: Graph) -> int:
     return sum(d ** 3 for d in G.degrees())
 
 
+class _InverseRoots(dict):
+    """``1.0 / math.sqrt(p)`` for each degree product p, worked out on first use."""
+
+    def __missing__(self, p: int) -> float:
+        value = self[p] = 1.0 / math.sqrt(p)
+        return value
+
+
 def randic(G: Graph) -> float:
-    deg = G.degrees()
-    return sum(1.0 / math.sqrt(deg[u] * deg[v]) for u, v in G.edges)
+    # the same float terms, in edge order, as summing 1.0 / sqrt(deg(u) * deg(v))
+    deg, inverse = G.degrees(), _InverseRoots()
+    return sum([inverse[deg[u] * deg[v]] for u, v in G.edges], 0.0)
 
 
 def harary(G: Graph) -> Fraction:

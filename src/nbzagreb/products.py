@@ -30,9 +30,31 @@ contract is distinct pairs ``(x, y)`` with ``0 <= x < y < n1*n2``.  With
   ``(a, b)`` once per edge of ``G1``;
 * no pair is both inside one block and between two blocks.
 
+The cartesian product of any number of factors ``G1 .. Gk`` (orders
+``n1 .. nk``) is built in one pass by :func:`cartesian_n`, and
+``cartesian(G1, G2)`` is its two-factor case (Hammack, Imrich and
+Klavzar, *Handbook of Product Graphs*, 2nd ed., 2011, ch. 5).  Vertex
+``(x1 .. xk)`` has the mixed-radix id ``(..(x1 * n2 + x2) * n3 ..) * nk + xk``,
+the left fold of the binary encoding.  Factor ``i`` has *stride*
+``s = n(i+1) * .. * nk``, and its edge ``ab`` joins ids ``q + a*s + r`` and
+``q + b*s + r`` for every offset ``r < s`` and every ``q`` a multiple of
+``ni * s``:
+
+* the last factor (stride 1) goes block row by block row, as in the
+  binary case;
+* each earlier factor zips runs of the shared ids: blocks of ``s``
+  consecutive ids (one zip per block and edge) or progressions of step
+  ``ni * s`` (one zip per offset and edge), whichever makes fewer zips.
+  With two factors the blocks are the rows; with more, one tuple of all
+  the ids is cut.
+
+No intermediate product is built, and every pair is one of the binary
+fold's, so the n-ary builder meets the contract above as the fold does.
+
 Before it builds any pair, each kind passes its factors' orders and sizes
-to ``_check_product``, the one copy of each kind's edge count.  It refuses
-an order over :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP` or a size over
+to ``_check_product``, the one copy of each kind's edge count; the n-ary
+builder folds it over its factors.  It refuses an order over
+:data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP` or a size over
 :data:`~nbzagreb.graphs.DEFAULT_EDGE_CAP` with :class:`SizeOverflowError`,
 order first.  The plan of :mod:`nbzagreb.families` folds it over sizes
 worked out from a family's parameters, before any factor is built.
@@ -45,8 +67,8 @@ the constructed graph, ``_DELTA_LAWS[kind]``, stated on factor data alone;
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
-from functools import reduce
+from collections.abc import Iterable
+from itertools import chain
 
 # SizeOverflowError is re-exported: products.SizeOverflowError is the same class
 from .graphs import Graph, SizeOverflowError, _check_cap
@@ -77,22 +99,20 @@ def _check_product(kind: ProductKind, n1: int, m1: int, n2: int, m2: int) -> tup
     return n1 * n2, size
 
 
-def _blocks(n1: int, n2: int) -> list[list[int]]:
+def _blocks(n1: int, n2: int) -> list[tuple[int, ...]]:
     """Product vertex ids block by block: ``blocks[u][v] == u * n2 + v``.
 
-    Pairs are built from these lists, so every product vertex is one int
-    object shared by all its pairs and neighbour lists.
+    Pairs are built from these tuples, so every product vertex is one int
+    object shared by all its pairs.  They are tuples because a tuple of
+    ints leaves the cyclic garbage collector's passes at its first
+    collection, where a list of ints stays tracked for as long as it lives.
     """
-    return [list(range(base, base + n2)) for base in range(0, n1 * n2, n2)]
+    return [tuple(range(base, base + n2)) for base in range(0, n1 * n2, n2)]
 
 
 def cartesian(G1: Graph, G2: Graph) -> Graph:
-    n1, n2 = G1.order, G2.order
-    _check_product(_CARTESIAN, n1, G1.size, n2, G2.size)
-    blocks = _blocks(n1, n2)
-    edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
-    edges += [pair for u1, u2 in G1.edges for pair in zip(blocks[u1], blocks[u2])]
-    return Graph._from_canonical(n1 * n2, edges)
+    """The two-factor case of :func:`cartesian_n`."""
+    return cartesian_n((G1, G2))
 
 
 def tensor(G1: Graph, G2: Graph) -> Graph:
@@ -129,11 +149,43 @@ def product(G1: Graph, G2: Graph, kind: ProductKind) -> Graph:
     return _CONSTRUCTORS[kind](G1, G2)
 
 
-def cartesian_n(graphs: Sequence[Graph]) -> Graph:
-    """Left fold of the binary cartesian product over a non-empty list."""
+def cartesian_n(graphs: Iterable[Graph]) -> Graph:
+    """The cartesian product of one or more factors, built in one pass.
+
+    Equal to ``functools.reduce(cartesian, graphs)`` and refused as that
+    fold would refuse, but no intermediate product is built (see the
+    module docstring).
+    """
+    graphs = tuple(graphs)
     if not graphs:
         raise ValueError("cartesian_n needs at least one factor")
-    return reduce(cartesian, graphs)
+    order, size = graphs[0].order, graphs[0].size
+    for G in graphs[1:]:
+        order, size = _check_product(_CARTESIAN, order, size, G.order, G.size)
+    *firsts, last = graphs
+    if not firsts:
+        return last
+    stride = last.order
+    blocks = _blocks(order // stride, stride)
+    edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in last.edges]
+    # two factors need only the rows above; more cut runs from all the ids
+    ids = tuple(chain.from_iterable(blocks)) if len(firsts) > 1 else ()
+    for G in reversed(firsts):
+        n, step = G.order, G.order * stride
+        if order // step > stride:
+            # one run of order // step pairs per offset below `stride` and edge of G
+            for r in range(stride):
+                for a, b in G.edges:
+                    edges += zip(ids[a * stride + r::step], ids[b * stride + r::step])
+        else:
+            # one run of `stride` pairs per span of `step` ids and edge of G
+            if len(blocks[0]) != stride:
+                blocks = [ids[x:x + stride] for x in range(0, order, stride)]
+            for p in range(0, len(blocks), n):
+                for a, b in G.edges:
+                    edges += zip(blocks[p + a], blocks[p + b])
+        stride = step
+    return Graph._from_canonical(order, edges)
 
 
 # ---------------------------------------------------------------------------

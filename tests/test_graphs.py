@@ -254,10 +254,27 @@ class TestStoredLayout:
         g = Graph(5, [(3, 1), (0, 1), (1, 2)])
         if read_first:
             g.adjacency
+            g.neighbor_degree_sums()
         c = clone(g)
-        assert c._adj is None
+        assert c._adj is None and c._sums is None
         assert c == g and hash(c) == hash(g)
         assert c.adjacency == g.adjacency
+        assert c.neighbor_degree_sums() == g.neighbor_degree_sums()
+
+    def test_neighbor_degree_sums_are_cached(self):
+        g = star_graph(4)
+        assert g._sums is None
+        sums = g.neighbor_degree_sums()
+        assert g.neighbor_degree_sums() is sums and g._sums is sums
+        assert g.neighbor_degree_sum(0) == 3 and g._adj is None
+
+    @pytest.mark.parametrize("name", ["_sums", "_adj", "order"])
+    def test_the_caches_cannot_be_set(self, name):
+        g = cycle_graph(4)
+        g.neighbor_degree_sums()
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, None)
+        assert g.neighbor_degree_sums() == (4, 4, 4, 4)
 
 
 class TestNeighborDegreeSum:

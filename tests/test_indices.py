@@ -64,6 +64,23 @@ class TestNeighbourhoodZagreb:
         assert neighbourhood_zagreb(bigger) > neighbourhood_zagreb(g)
 
 
+@st.composite
+def degree_graphs(draw):
+    """A random graph with isolated vertices appended, or a small member of
+    a product family."""
+    if draw(st.booleans()):
+        g = draw(graphs(max_order=7))
+        isolated = draw(st.integers(min_value=0, max_value=3))
+        return Graph(g.order + isolated, g.edges)
+    name = draw(st.sampled_from(["ladder", "grid", "nanotube", "nanotorus", "prism", "rook",
+                                 "hamming", "hypercube", "fence", "closed-fence"]))
+    small = st.integers(min_value=3, max_value=6)
+    params = {"m": draw(small), "n": draw(small),
+              "sizes": draw(st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=3))}
+    names = families.FAMILIES[name][0]
+    return families.build_family(name, **{p: params[p] for p in names})
+
+
 class TestClassicDegreeIndices:
     def test_p4_zagrebs(self):
         assert first_zagreb(path_graph(4)) == 10
@@ -95,6 +112,24 @@ class TestClassicDegreeIndices:
             d * s for d, s in zip(g.degrees(), g.neighbor_degree_sums())
         )
         assert total == 2 * second_zagreb(g)
+
+    @given(degree_graphs())
+    @example(Graph(1, []))
+    @example(Graph(4, [(1, 2)]))
+    def test_m2_matches_the_per_edge_sum(self, g):
+        deg = g.degrees()
+        assert second_zagreb(g) == sum(deg[u] * deg[v] for u, v in g.edges)
+
+    @given(degree_graphs())
+    def test_randic_matches_the_per_edge_sum_exactly(self, g):
+        deg = g.degrees()
+        expected = sum(1.0 / math.sqrt(deg[u] * deg[v]) for u, v in g.edges)
+        assert randic(g) == expected
+
+    @pytest.mark.parametrize("g", [path_graph(1), empty_graph(5)], ids=["K1", "5K1"])
+    def test_randic_of_an_edgeless_graph_is_float_zero(self, g):
+        for value in (randic(g), compute_index(g, "CHI")):
+            assert value == 0.0 and type(value) is float
 
 
 def _harary_oracle(g):

@@ -402,6 +402,61 @@ class TestCartesianN:
         with pytest.raises(ValueError):
             cartesian_n([])
 
+    def test_empty_iterable_rejected(self):
+        with pytest.raises(ValueError, match="^cartesian_n needs at least one factor$"):
+            cartesian_n(iter([]))
+
+    @given(st.lists(st.one_of(graphs(max_order=4), st.just(empty_graph(1)),
+                              st.integers(1, 4).map(empty_graph)), min_size=1, max_size=4))
+    @example([empty_graph(1)] * 4)
+    @example([complete_graph(2), empty_graph(1), cycle_graph(3)])
+    @example([empty_graph(2), complete_graph(3), complete_graph(2)])
+    def test_matches_the_binary_fold_and_the_definition(self, factors):
+        g = cartesian_n(iter(factors))
+        assert g == functools.reduce(cartesian, factors)
+        # (x1..xk) ~ (y1..yk) iff they differ in one coordinate i, where
+        # x_i y_i is an edge of factor i; ids are mixed-radix, last fastest
+        tuples = list(itertools.product(*(range(f.order) for f in factors)))
+        expected = {
+            (tuples.index(x), tuples.index(y))
+            for x, y in itertools.combinations(tuples, 2)
+            if sum(a != b for a, b in zip(x, y)) == 1
+            and all(f.has_edge(a, b) for f, a, b in zip(factors, x, y) if a != b)
+        }
+        assert g.order == len(tuples) and set(g.edges) == expected
+
+    @pytest.mark.parametrize("factors", [
+        [complete_graph(2)] * 8,
+        [complete_graph(3), path_graph(40), complete_graph(2), cycle_graph(5)],
+        [path_graph(5), complete_graph(2), complete_graph(2), complete_graph(4), empty_graph(1)],
+    ], ids=["Q8", "mixed", "K1-last"])
+    def test_larger_tuples_match_the_binary_fold(self, factors):
+        assert cartesian_n(factors) == functools.reduce(cartesian, factors)
+
+    @pytest.mark.parametrize("factors, cap, edges", [
+        ([path_graph(30)] * 4, 10 ** 5, False),
+        ([complete_graph(2)] * 12, 2 ** 11, False),
+        ([complete_graph(40), complete_graph(40), complete_graph(3)], 10 ** 5, True),
+    ])
+    def test_refuses_as_the_binary_fold_does(self, monkeypatch, factors, cap, edges):
+        name = "DEFAULT_EDGE_CAP" if edges else "DEFAULT_VERTEX_CAP"
+        monkeypatch.setattr(nbzagreb.graphs, name, cap)
+        with pytest.raises(SizeOverflowError) as folded:
+            functools.reduce(cartesian, factors)
+        _refuse_construction(monkeypatch)
+        with pytest.raises(SizeOverflowError) as built:
+            cartesian_n(factors)
+        assert str(built.value) == str(folded.value)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    def test_hypercube_is_the_binary_fold(self, m):
+        assert families.hypercube(m) == functools.reduce(cartesian, [complete_graph(2)] * m)
+
+    @pytest.mark.parametrize("sizes", [[2], [3, 4], [2, 3, 4], [4, 2, 3, 2]])
+    def test_hamming_is_the_binary_fold(self, sizes):
+        fold = functools.reduce(cartesian, map(complete_graph, sizes))
+        assert families.hamming(sizes) == fold
+
 
 class TestEdgeCountLaws:
     @given(graphs(max_order=6), graphs(max_order=6))
