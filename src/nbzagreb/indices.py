@@ -164,7 +164,7 @@ class _InverseRoots(dict):
 def randic(G: Graph) -> float:
     # the same float terms, in edge order, as summing 1.0 / sqrt(deg(u) * deg(v))
     deg, inverse = G.degrees(), _InverseRoots()
-    return sum([inverse[deg[u] * deg[v]] for u, v in G.edges], 0.0)
+    return sum((inverse[deg[u] * deg[v]] for u, v in G.edges), 0.0)
 
 
 def harary(G: Graph) -> Fraction:

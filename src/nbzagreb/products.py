@@ -168,7 +168,10 @@ def cartesian_n(graphs: Iterable[Graph]) -> Graph:
     stride = last.order
     blocks = _blocks(order // stride, stride)
     edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in last.edges]
-    # two factors need only the rows above; more cut runs from all the ids
+    # the first factor's step is the whole order, so it takes the block
+    # branch below, and with two factors its blocks are the rows above;
+    # the ids are cut only for a factor between the first and the last,
+    # since with two factors they would add 8 bytes per vertex to the peak
     ids = tuple(chain.from_iterable(blocks)) if len(firsts) > 1 else ()
     for G in reversed(firsts):
         n, step = G.order, G.order * stride
