@@ -6,7 +6,8 @@ The parser covers exactly the nomenclature needed for the octane work
     name        := ["n-"] group (("-" | " ")? group)* (" ")? parent
     group       := locants "-" multiplier? substituent
     locants     := int ("," int)*
-    int         := 1 to 4300 ASCII digits
+    int         := 1 to the interpreter's int-string limit, 4300 by
+                   default, of ASCII digits
     multiplier  := "di" | "tri" | "tetra"
     substituent := "methyl" | "ethyl"
     parent      := "butane" | "pentane" | "hexane" | "heptane" | "octane"
@@ -24,6 +25,7 @@ from __future__ import annotations
 import io
 import csv
 import re
+import sys
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -68,10 +70,9 @@ _SUBSTITUENTS = ("methyl", "ethyl")
 #: One group and the separator after it.  Every part after the locants may
 #: match empty, so a group that starts with a digit always matches, and the
 #: first empty part names the syntax error.  ``[0-9]``, since ``\d`` also
-#: matches non-ASCII digits; at most 4300 of them, the most that ``int()``
-#: converts by default, and a 4301st is the second group.
+#: matches non-ASCII digits.
 _GROUP = re.compile(
-    rf"([0-9]{{1,4300}}(?:,[0-9]{{1,4300}})*)([0-9]?)(,?)(-?)({'|'.join(_MULTIPLIERS)}|)"
+    rf"([0-9]+(?:,[0-9]+)*)(,?)(-?)({'|'.join(_MULTIPLIERS)}|)"
     rf"({'|'.join(_SUBSTITUENTS)}|)[- ]?"
 )
 _PARENT = re.compile("|".join(_PARENTS))
@@ -87,16 +88,21 @@ def parse_alkane_name(text: str) -> Graph:
     pos = 2 if s.startswith("n-") else 0
     groups: list[tuple[list[int], str]] = []
     while match := _GROUP.match(s, pos):
-        digits, too_long, comma, hyphen, multiplier, substituent = match.groups()
-        if too_long:
-            raise AlkaneSyntaxError("locant longer than 4300 digits", offset + match.end(1))
-        locants = [int(d) for d in digits.split(",")]
+        digits, comma, hyphen, multiplier, substituent = match.groups()
+        try:
+            locants = [int(d) for d in digits.split(",")]
+        except ValueError:
+            # int() refuses a run of ASCII digits only past its digit limit;
+            # the position is that of the first digit past it
+            limit = sys.get_int_max_str_digits()
+            run = match.start(1) + re.search(f"[0-9]{{{limit + 1}}}", digits).start()
+            raise AlkaneSyntaxError(f"locant longer than {limit} digits", offset + run + limit) from None
         if comma:
-            raise AlkaneSyntaxError("expected a locant", offset + match.end(3))
+            raise AlkaneSyntaxError("expected a locant", offset + match.end(2))
         if not hyphen:
             raise AlkaneSyntaxError("expected '-' after locants", offset + match.end(1))
         if not substituent:
-            raise AlkaneSyntaxError("expected a substituent name", offset + match.end(5))
+            raise AlkaneSyntaxError("expected a substituent name", offset + match.end(4))
         expected = _MULTIPLIERS.get(multiplier, 1)
         if len(locants) != expected:
             raise MultiplierMismatchError(

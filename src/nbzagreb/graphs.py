@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from collections.abc import Iterable
 from itertools import repeat
 
@@ -89,8 +90,9 @@ def _echo(value) -> str:
     message shows it: whole up to ``_ECHO_LIMIT`` characters or digits,
     else cut to its first half of that and its length.
 
-    An int past CPython's int-string limit (4300 digits) has no ``str``, so
-    its digits are counted from its logarithm, which works at any size.
+    An int past the interpreter's int-string limit, 4300 digits by default,
+    has no ``str``, so its digits are counted from its logarithm, which
+    works at any size.
     """
     if isinstance(value, str):
         if len(value) <= _ECHO_LIMIT:
@@ -354,8 +356,9 @@ def star_graph(n: int) -> Graph:
 #   n m
 #   u v          (exactly m lines, 0 <= u,v < n)
 #
-# A field is an optional "-" and 1 to 4300 ASCII digits, with no "+" and
-# no "_"; any whitespace separates the two fields of a line.
+# A field is an optional "-" and 1 to the interpreter's int-string limit
+# (4300 by default) of ASCII digits, with no "+" and no "_"; any whitespace
+# separates the two fields of a line.
 
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a canonical :class:`Graph`.
@@ -399,11 +402,11 @@ def _bulk_fields(text: str) -> list[int] | None:
 
 def _parse_lines(text: str) -> Graph:
     """The line-by-line reader: the only one that reports syntax errors."""
-    # int() also reads "1_0", "+2" and non-ASCII digits, so a text that holds
-    # any of those has its fields matched against the grammar
-    strict = "_" in text or "+" in text or not text.isascii()
+    # a stripped data line of the grammar: \s is str.isspace, as in split()
+    # and strip(), and [0-9] since int() also reads "1_0", "+2" and
+    # non-ASCII digits
+    row_of = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)").fullmatch
     header: tuple[int, int] | None = None
-    header_line = 0
     edges: list[tuple[int, int]] = []
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -411,39 +414,35 @@ def _parse_lines(text: str) -> Graph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise EdgeListSyntaxError(f"expected two fields, got {len(fields)}", lineno)
+        row = row_of(line)
+        if row is None:
+            count = len(line.split())
+            if count != 2:
+                raise EdgeListSyntaxError(f"expected two fields, got {count}", lineno)
+            raise EdgeListSyntaxError(f"non-integer field in {_echo(line)}", lineno)
         try:
-            if strict and not all(re.fullmatch("-?[0-9]+", f) for f in fields):
-                raise ValueError
-            a, b = int(fields[0]), int(fields[1])
+            a, b = map(int, row.groups())
         except ValueError:
-            # int() refuses a well-formed field only past its digit limit
-            if all(re.fullmatch("-?[0-9]+", f) for f in fields):
-                raise EdgeListSyntaxError("field longer than 4300 digits", lineno) from None
-            raise EdgeListSyntaxError(f"non-integer field in {_echo(line)}", lineno) from None
+            # int() refuses a field of the grammar only past its digit limit
+            limit = sys.get_int_max_str_digits()
+            raise EdgeListSyntaxError(f"field longer than {limit} digits", lineno) from None
         if header is None:
             header = (a, b)
-            header_line = lineno
             if a < 1 or b < 0:
                 raise EdgeListSyntaxError(f"bad header {_echo(line)}", lineno)
             if a > DEFAULT_VERTEX_CAP:
                 raise EdgeListSyntaxError(
                     f"order {a} exceeds vertex cap {DEFAULT_VERTEX_CAP}", lineno
                 )
-        else:
-            if len(edges) >= header[1]:
-                raise EdgeListSyntaxError(
-                    f"more than {header[1]} edge lines", lineno
-                )
+        elif len(edges) < header[1]:
             edges.append((a, b))
+        else:
+            raise EdgeListSyntaxError(f"more than {header[1]} edge lines", lineno)
     if header is None:
         raise EdgeListSyntaxError("missing 'n m' header", last_line or 1)
     if len(edges) != header[1]:
-        raise EdgeListSyntaxError(
-            f"expected {header[1]} edge lines, found {len(edges)}", last_line or header_line
-        )
+        # the header's line was read, so last_line is at least 1
+        raise EdgeListSyntaxError(f"expected {header[1]} edge lines, found {len(edges)}", last_line)
     return Graph(header[0], edges)
 
 

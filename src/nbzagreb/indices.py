@@ -63,14 +63,14 @@ Prodinger and Tichy 1982):
   masks.
 
 :data:`COUNTING_STATE_BUDGET` bounds that DP in 64-bit mask words, the
-unit its memory grows by: the k neighbour masks of a k-vertex component
-cost k * ceil(k / 64) words and are charged before they are built, and
-each set that branches costs ceil(k / 64) more; a set that passes
-through is not charged.  At 2**16 words a refusal comes within a few
-seconds and some tens of MB.  For a graph whose order alone could exceed
-the budget, a union-find pass over the edges looks for a cycle in an
-over-budget component before the adjacency is built, so a large cyclic
-graph is refused at O(order) memory.
+unit its memory grows by.  One rule, ``_masks_over_budget``, charges a
+k-vertex component with a cycle k * ceil(k / 64) words for its masks and
+refuses it, before they are built, past the budget; each set that
+branches costs ceil(k / 64) more.  At 2**16 words a refusal comes within
+a few seconds and some tens of MB.  The rule is also read on a connected
+plan, cyclic iff size >= order, and, when the order alone breaks it, by a
+union-find pass over the edges that refuses a large cyclic component
+before the adjacency is built, at O(order) memory.
 
 ``HARARY`` fills a histogram of ordered vertex pairs per distance, then
 builds one ``Fraction`` over the least common multiple of the distances.
@@ -177,7 +177,7 @@ def harary(G: Graph) -> Fraction:
     BFS steps, an upper bound for all three kernels, it raises
     :class:`TooLargeError` before any BFS runs.
     """
-    _check_budget("HARARY", G.order, G.size, cyclic=False)
+    _check_budget("HARARY", G.order, G.size)
     hist = _distance_histogram(G)
     common = math.lcm(*range(1, len(hist)))
     # every unordered pair is counted once from each end
@@ -393,28 +393,19 @@ def merrifield_simmons(G: Graph) -> int:
 
 
 def _count(G: Graph, index_id: str) -> int:
-    """Z or SIGMA: the one component loop of both indices.
-
-    Runs the union-find pre-check first when ``G`` is large enough for one
-    component's masks to exceed the budget.
-    """
-    n = G.order
-    try:
-        _check_budget(index_id, n, G.size, cyclic=True)
-    except TooLargeError:
-        # the order alone is over the budget: refuse a component that is
+    """Z or SIGMA: the one component loop of both indices, after the
+    union-find pass when ``G``'s order alone breaks the mask rule."""
+    if _masks_over_budget(G.order):
         _refuse_large_cycles(G, index_id)
     adj = G.adjacency
     deg = G.degrees()
     mark, components = _components(adj)
-    # a component is a tree iff its degrees sum to 2 (k - 1); all are
-    # when there are order - size components
-    forest = len(components) == n - G.size
     matching = index_id == "Z"
     total = 1
     for order, up in components:
         k = len(order)
-        if not forest and sum(map(deg.__getitem__, order)) > 2 * k - 2:
+        # a component is a tree iff its degrees sum to 2 (k - 1)
+        if sum(map(deg.__getitem__, order)) > 2 * k - 2:
             total *= _count_cyclic(adj, order, up, mark, index_id)
             continue
         # per position c, its subtree without order[c] (unmatched; not in
@@ -441,6 +432,11 @@ def _mask_words(k: int) -> int:
     return -(-k // 64)
 
 
+def _masks_over_budget(k: int) -> bool:
+    """Z and SIGMA's mask rule: k masks of ceil(k / 64) words exceed the budget."""
+    return k * _mask_words(k) > COUNTING_STATE_BUDGET
+
+
 def _over_budget(index_id: str, k: int) -> TooLargeError:
     return TooLargeError(
         f"{index_id} exceeds the counting budget of {COUNTING_STATE_BUDGET} "
@@ -448,17 +444,16 @@ def _over_budget(index_id: str, k: int) -> TooLargeError:
     )
 
 
-def _check_budget(index_id: str, order: int, size: int, cyclic: bool) -> None:
+def _check_budget(index_id: str, order: int, size: int) -> None:
     """Refuse ``index_id`` from order and size alone.  For Z and SIGMA the
-    graph is connected, and ``cyclic`` says whether it has a cycle."""
+    graph is connected, so it has a cycle iff ``size >= order``."""
     if index_id == "HARARY" and (work := order * (order + size)) > HARARY_WORK_BUDGET:
         raise TooLargeError(
             f"HARARY needs {work} BFS steps (order x (order + size)), "
             f"over the budget of {HARARY_WORK_BUDGET}"
         )
-    if index_id in ("Z", "SIGMA") and cyclic:
-        if order * _mask_words(order) > COUNTING_STATE_BUDGET:
-            raise _over_budget(index_id, order)
+    if index_id in ("Z", "SIGMA") and size >= order and _masks_over_budget(order):
+        raise _over_budget(index_id, order)
 
 
 def _refuse_large_cycles(G: Graph, index_id: str) -> None:
@@ -484,8 +479,8 @@ def _refuse_large_cycles(G: Graph, index_id: str) -> None:
             root[v] = u
             size[u] += size[v]
             cyclic[u] |= cyclic[v]
-        if cyclic[u]:  # the rule of Z and SIGMA reads no edge count
-            _check_budget(index_id, size[u], 0, cyclic=True)
+        if cyclic[u] and _masks_over_budget(size[u]):
+            raise _over_budget(index_id, size[u])
 
 
 def _count_cyclic(adj, vertices: list[int], up: list[int], mark: list[int],
@@ -497,14 +492,13 @@ def _count_cyclic(adj, vertices: list[int], up: list[int], mark: list[int],
     :func:`_ordered_masks`.  A set without position i (i matched; next to
     a chosen vertex) carries forward; one with i carries ``rest``, itself
     without i, and ``rest ^ u`` per live later neighbour u (Z) or ``rest``
-    without them (SIGMA).  Only a set that branches, where i has a live
-    later neighbour, is charged.
+    without them (SIGMA).  Past the mask rule, only a set that branches,
+    where i has a live later neighbour, is charged.
     """
     k = len(vertices)
+    if _masks_over_budget(k):
+        raise _over_budget(index_id, k)
     words = _mask_words(k)
-    # k * words is within the budget: when the whole graph's order is over
-    # it, :func:`_count` has refused every cyclic component that is over it
-    # through :func:`_refuse_large_cycles`
     spent = k * words
     _, masks = _ordered_masks(adj, vertices, up, mark)
     matching = index_id == "Z"

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -209,6 +211,25 @@ class TestParserPins:
         with pytest.raises(LocantOutOfRangeError) as exc:
             parse_alkane_name("1" * 4300 + "-methyl butane")
         assert str(exc.value) == f"locant {'1' * 4300} outside chain of length 4"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    @pytest.mark.parametrize("name, position", [
+        ("1" * 1000 + "-methylhexane", 640),
+        ("2," + "0" * 641 + "2-dimethyl hexane", 642),
+    ], ids=["one-locant", "second-locant"])
+    def test_locant_past_a_lowered_digit_limit(self, name, position):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(AlkaneSyntaxError) as exc:
+                parse_alkane_name(name)
+            # a locant at the limit is read
+            with pytest.raises(LocantOutOfRangeError):
+                parse_alkane_name("1" * 640 + "-methyl butane")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(exc.value) == f"position {position}: locant longer than 640 digits"
+        assert exc.value.position == position
 
     @given(rendered_names())
     def test_rendered_names_against_validated_tree(self, case):

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -142,6 +144,11 @@ class TestConstruction:
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 1)])
         assert a != Graph(4, [(0, 1), (1, 2)])
+
+    def test_equality_with_a_non_graph_is_left_to_the_other_side(self):
+        g = path_graph(2)
+        assert g.__eq__((2, ((0, 1),))) is NotImplemented
+        assert g != "P2" and g == mock.ANY
 
     def test_immutable(self):
         g = path_graph(3)
@@ -377,6 +384,31 @@ class TestEdgeListFormat:
         assert str(exc.value) == f"line {line}: field longer than 4300 digits"
         assert exc.value.line == line
 
+    # a wrong field count is named before a non-integer field
+    @pytest.mark.parametrize("text, message", [
+        ("3\n", "line 1: expected two fields, got 1"),
+        ("3 2\n0 1 2\n", "line 2: expected two fields, got 3"),
+        ("3 1\n0 x 2\n", "line 2: expected two fields, got 3"),
+    ])
+    def test_field_count_named(self, text, message):
+        with pytest.raises(EdgeListSyntaxError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    def test_field_past_a_lowered_digit_limit_named(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(EdgeListSyntaxError) as exc:
+                parse_edge_list("2 1\n0 " + "1" * 641 + "\n")
+            # a field at the limit is read
+            with pytest.raises(VertexOutOfRangeError, match=r"\(640 digits\)\) has a vertex"):
+                parse_edge_list("2 1\n0 " + "1" * 640 + "\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(exc.value) == "line 2: field longer than 640 digits"
+
     @pytest.mark.parametrize(
         "text, error, message",
         [
@@ -399,6 +431,10 @@ class TestEdgeListFormat:
         assert _echo(10 ** (digits - 1)) == f"{head}... ({digits} digits)"
         assert _echo(10 ** digits - 1) == f"{'9' * 30}... ({digits} digits)"
         assert _echo(-(10 ** digits)) == f"-{head}... ({digits + 1} digits)"
+
+    def test_echo_corrects_a_low_float_logarithm(self):
+        # math.log10(10 ** 512) reads 511.99999999999994
+        assert _echo(10 ** 512) == "1" + "0" * 29 + "... (513 digits)"
 
     def test_echo_keeps_short_values_whole(self):
         assert _echo(10 ** 60 - 1) == "9" * 60 and _echo(-(10 ** 60) + 1) == "-" + "9" * 60

@@ -388,6 +388,40 @@ class TestCountingBudget:
         with pytest.raises(TooLargeError, match=f"^{index_id} exceeds .* 130 vertices$"):
             count(g)
 
+    @pytest.mark.parametrize("count, index_id", [(hosoya, "Z"), (merrifield_simmons, "SIGMA")])
+    def test_cyclic_component_refuses_its_own_masks(self, monkeypatch, count, index_id):
+        # with the union-find pass patched out, the level DP reads the mask
+        # rule itself before any mask is built
+        g = Graph(140, [(i, i + 1) for i in range(129)] + [(0, 129)])
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 130 * 3 - 1)
+        monkeypatch.setattr(indices, "_refuse_large_cycles", lambda G, index_id: None)
+
+        def never(*args):
+            raise AssertionError("masks built")
+
+        monkeypatch.setattr(indices, "_masks", never)
+        with pytest.raises(TooLargeError, match=f"^{index_id} exceeds .* 130 vertices$"):
+            count(g)
+
+    @pytest.mark.parametrize("index_id", ["Z", "SIGMA"])
+    def test_plan_check_reads_a_cycle_from_size(self, index_id):
+        # a connected plan has a cycle iff size >= order; 2049 vertices need
+        # 2049 * 33 mask words, 2048 need exactly the budget's 2**16
+        with pytest.raises(TooLargeError, match=f"^{index_id} exceeds .* 2049 vertices$"):
+            indices._check_budget(index_id, 2049, 2049)
+        indices._check_budget(index_id, 2049, 2048)
+        indices._check_budget(index_id, 2048, 2048)
+
+    def test_union_find_keeps_the_larger_root(self, monkeypatch):
+        # vertex 1 joins the component of 0 and 2 as the lower root: union
+        # by size hangs it below 0, so every vertex is one link from 0
+        made, array = [], indices.array
+        monkeypatch.setattr(indices, "array", lambda *args: made.append(array(*args)) or made[-1])
+        monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 3)
+        assert hosoya(Graph(4, [(0, 2), (1, 2), (1, 3)])) == 5
+        # made[0] is the root array
+        assert list(made[0]) == [0, 0, 0, 0]
+
     def test_large_cyclic_graph_refused_before_adjacency(self, monkeypatch):
         # the order alone exceeds the budget, so the edges are checked first
         monkeypatch.setattr(indices, "COUNTING_STATE_BUDGET", 50)
@@ -645,7 +679,7 @@ class TestHararyKernels:
         # 5000 * (5000 + 4999) steps: just inside HARARY_WORK_BUDGET, and
         # seconds of per-source BFS
         g = path_graph(5000)
-        indices._check_budget("HARARY", g.order, g.size, cyclic=False)
+        indices._check_budget("HARARY", g.order, g.size)
         assert indices._distance_histogram(g) == [0] + [2 * (5000 - d) for d in range(1, 5000)]
 
     def test_complete_closed_form_on_bitsets(self, monkeypatch):
