@@ -402,26 +402,26 @@ def _bulk_fields(text: str) -> list[int] | None:
 
 def _parse_lines(text: str) -> Graph:
     """The line-by-line reader: the only one that reports syntax errors."""
-    # a stripped data line of the grammar: \s is str.isspace, as in split()
+    # a data line of the grammar, stripped: \s is str.isspace, as in split()
     # and strip(), and [0-9] since int() also reads "1_0", "+2" and
-    # non-ASCII digits
+    # non-ASCII digits; blank and comment lines never match
     row_of = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)").fullmatch
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    last_line = 0
+    lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         row = row_of(line)
         if row is None:
+            if not line or line.startswith("#"):
+                continue
             count = len(line.split())
             if count != 2:
                 raise EdgeListSyntaxError(f"expected two fields, got {count}", lineno)
             raise EdgeListSyntaxError(f"non-integer field in {_echo(line)}", lineno)
+        x, y = row.groups()
         try:
-            a, b = map(int, row.groups())
+            a, b = int(x), int(y)
         except ValueError:
             # int() refuses a field of the grammar only past its digit limit
             limit = sys.get_int_max_str_digits()
@@ -438,11 +438,11 @@ def _parse_lines(text: str) -> Graph:
             edges.append((a, b))
         else:
             raise EdgeListSyntaxError(f"more than {header[1]} edge lines", lineno)
+    # lineno is the last line's number, 0 for a text without lines
     if header is None:
-        raise EdgeListSyntaxError("missing 'n m' header", last_line or 1)
+        raise EdgeListSyntaxError("missing 'n m' header", lineno or 1)
     if len(edges) != header[1]:
-        # the header's line was read, so last_line is at least 1
-        raise EdgeListSyntaxError(f"expected {header[1]} edge lines, found {len(edges)}", last_line)
+        raise EdgeListSyntaxError(f"expected {header[1]} edge lines, found {len(edges)}", lineno)
     return Graph(header[0], edges)
 
 
