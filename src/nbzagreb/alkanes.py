@@ -18,17 +18,18 @@ such as "5-methylpentane" parses to the hexane skeleton); no IUPAC
 lowest-locant canonicalization is attempted, since distinct strings may
 legally name isomorphic trees.  Every parsed structure must satisfy the
 carbon valence bound (degree <= 4).
+
+Error messages show trailing text or a locant whole up to 60 characters
+or digits, and cut a longer one to its head and its length.
 """
 
 from __future__ import annotations
 
-import io
-import csv
 import re
 import sys
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _csv_text, _echo
 from .indices import neighbourhood_zagreb
 
 
@@ -115,7 +116,7 @@ def parse_alkane_name(text: str) -> Graph:
         raise AlkaneSyntaxError("expected a parent chain name", offset + pos)
     pos = parent.end()
     if pos != len(s):
-        raise AlkaneSyntaxError(f"unexpected trailing text {s[pos:]!r}", offset + pos)
+        raise AlkaneSyntaxError(f"unexpected trailing text {_echo(s[pos:])}", offset + pos)
 
     return _build_tree(_PARENTS[parent.group()], groups)
 
@@ -127,7 +128,7 @@ def _build_tree(parent_len: int, groups) -> Graph:
         for locant in locants:
             if not 1 <= locant <= parent_len:
                 raise LocantOutOfRangeError(
-                    f"locant {locant} outside chain of length {parent_len}"
+                    f"locant {_echo(locant)} outside chain of length {parent_len}"
                 )
             attach = locant - 1
             edges.append((attach, n))
@@ -224,17 +225,8 @@ def octane_dataset_csv() -> str:
     missing from the property table is flagged by its empty property
     fields.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "acentric", "entropy", "MN_paper", "MN_computed"])
-    for rec in octane_isomers_all():
-        writer.writerow(
-            [
-                rec.name,
-                "" if rec.acentric_factor is None else repr(rec.acentric_factor),
-                "" if rec.entropy is None else repr(rec.entropy),
-                "" if rec.mn_reference is None else rec.mn_reference,
-                neighbourhood_zagreb(rec.structure),
-            ]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ("name", "acentric", "entropy", "MN_paper", "MN_computed"),
+        ((rec.name, rec.acentric_factor, rec.entropy, rec.mn_reference,
+          neighbourhood_zagreb(rec.structure)) for rec in octane_isomers_all()),
+    )

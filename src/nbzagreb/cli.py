@@ -20,7 +20,7 @@ from pathlib import Path
 from .alkanes import parse_alkane_name
 from .families import FAMILIES, build_family, plan_family
 from .formulas import CATALOG, FORMULA_IDS
-from .graphs import parse_edge_list, serialize_edge_list
+from .graphs import _csv_text, parse_edge_list, serialize_edge_list
 from .indices import INDEX_IDS, _check_budget, compute_index, neighbourhood_zagreb
 from .products import ProductKind, product
 from .qspr import (
@@ -295,8 +295,8 @@ def _cmd_degeneracy(args) -> int:
     for row in rows:
         print(f"{row.index_id} n={row.n} t={row.t} d={row.d_rendered}")
     if args.csv:
-        _write(args.csv, "index,n,t,d\n" + "".join(
-            f"{row.index_id},{row.n},{row.t},{row.d_rendered}\n" for row in rows))
+        _write(args.csv, _csv_text(("index", "n", "t", "d"), (
+            (row.index_id, row.n, row.t, row.d_rendered) for row in rows)))
     return EXIT_OK
 
 

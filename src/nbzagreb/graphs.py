@@ -39,12 +39,17 @@ runs of ASCII digits and ``-`` split by one space, a run ``int`` refuses, a
 bad header or a wrong edge count) is read again by the line loop, which is
 the only reader that reports syntax errors, with their line numbers.  Both
 readers give the same graph, or the same error, for every text.  Error
-messages cut an echoed line or vertex id past ``_ECHO_LIMIT`` characters
-to its head and its length.
+messages cut an echoed line, vertex id, alkane-name text or locant past
+``_ECHO_LIMIT`` characters or digits to its head and its length.  This
+module also owns the package's CSV dialect, ``_csv_text``, which writes
+the verify report, the octane dataset, the QSPR pairs and the degeneracy
+table.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 import re
@@ -81,7 +86,8 @@ def _check_cap(subject: str, count: int, *, edges: bool = False, shown=None) -> 
         raise SizeOverflowError(f"{subject} {shown} exceeds {unit} cap {cap}")
 
 
-#: Longest line or vertex id that an error message echoes whole.
+#: Longest line, vertex id, alkane-name text or locant that an error
+#: message echoes whole.
 _ECHO_LIMIT = 60
 
 
@@ -109,6 +115,17 @@ def _echo(value) -> str:
         digits += 1
     head = n // 10 ** (digits - _ECHO_LIMIT // 2)
     return f"{'-' if value < 0 else ''}{head}... ({digits} digits)"
+
+
+def _csv_text(header, rows) -> str:
+    """The package's one CSV dialect: ``header``, then ``rows``, written by
+    ``csv.writer`` with bare newline line ends.  ``None`` is an empty cell
+    and any other value is its ``str``, which for a float is its ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class GraphError(ValueError):

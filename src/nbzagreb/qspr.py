@@ -11,15 +11,13 @@ floating-point index.
 
 from __future__ import annotations
 
-import csv
-import io
 import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .alkanes import OctaneRecord, octane_table1, octane_isomers_all
-from .graphs import Graph
+from .alkanes import octane_isomers_all, octane_table1
+from .graphs import Graph, _csv_text
 from .indices import compute_index, neighbourhood_zagreb
 
 #: Relative tolerance used to group connectivity-index values.
@@ -128,13 +126,16 @@ def degeneracy_table(graphs: list[Graph] | None = None) -> list[DegeneracyReport
 # ---------------------------------------------------------------------------
 # Octane property regression
 
-def _property_values(records: list[OctaneRecord], property_name: str) -> list[float]:
+def _octane_samples(property_name: str) -> tuple[list[int], list[float]]:
+    """The (MN, property) samples of the tabulated isomers, as two lists."""
     if property_name not in PROPERTY_NAMES:
         raise ValueError(
             f"unknown property {property_name!r}; expected one of {PROPERTY_NAMES}"
         )
     attr = "acentric_factor" if property_name == "acentric" else "entropy"
-    return [getattr(rec, attr) for rec in records]
+    records = octane_table1()
+    xs = [neighbourhood_zagreb(rec.structure) for rec in records]
+    return xs, [getattr(rec, attr) for rec in records]
 
 
 def octane_regression(property_name: str) -> RegressionResult:
@@ -142,19 +143,9 @@ def octane_regression(property_name: str) -> RegressionResult:
 
     Uses the rows that carry property values (the 17 tabulated isomers).
     """
-    records = octane_table1()
-    xs = [neighbourhood_zagreb(rec.structure) for rec in records]
-    ys = _property_values(records, property_name)
-    return linear_fit(xs, ys)
+    return linear_fit(*_octane_samples(property_name))
 
 
 def octane_pairs_csv(property_name: str) -> str:
     """CSV of (index value, property) pairs, ready for external plotting."""
-    records = octane_table1()
-    ys = _property_values(records, property_name)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["MN", property_name])
-    for rec, y in zip(records, ys):
-        writer.writerow([neighbourhood_zagreb(rec.structure), repr(y)])
-    return buf.getvalue()
+    return _csv_text(("MN", property_name), zip(*_octane_samples(property_name)))

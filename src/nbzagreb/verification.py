@@ -23,8 +23,6 @@ stars, complete and edgeless graphs), so reports are reproducible given
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import random
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 from importlib.resources import files
 
 from .formulas import CATALOG, FORMULA_IDS, Formula, GraphStats
-from .graphs import SizeOverflowError
+from .graphs import SizeOverflowError, _csv_text
 from .indices import neighbourhood_zagreb
 
 CONSISTENT = "CONSISTENT"
@@ -187,15 +185,11 @@ CSV_HEADER = ("formula", "params", "closed", "oracle", "delta")
 
 def reports_to_csv(reports) -> str:
     """Render reports as CSV; byte-stable for fixed inputs and seed."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for report in reports:
-        for p in report.points:
-            params = ";".join(f"{k}={v}" for k, v in p.params)
-            cells = ("" if v is None else str(v) for v in (p.closed, p.oracle, p.delta))
-            writer.writerow([report.formula_id, params, *cells])
-    return buf.getvalue()
+    return _csv_text(CSV_HEADER, (
+        (report.formula_id, ";".join(f"{k}={v}" for k, v in p.params),
+         p.closed, p.oracle, p.delta)
+        for report in reports for p in report.points
+    ))
 
 
 def known_errata() -> frozenset[str]:

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -174,6 +175,9 @@ class TestParserPins:
         ("2-methyl  butane", AlkaneSyntaxError, "position 9: expected a parent chain name", 9),
         ("2methyl butane", AlkaneSyntaxError, "position 1: expected '-' after locants", 1),
         ("n-octane!", AlkaneSyntaxError, "position 8: unexpected trailing text '!'", 8),
+        pytest.param("n-octane" + "x" * 5000, AlkaneSyntaxError,
+                     f"position 8: unexpected trailing text {'x' * 30!r}... (5000 characters)",
+                     8, id="long-trailing-text"),
         ("   ", AlkaneSyntaxError, "position 3: empty name", 3),
         ("2,3-methyl hexane", MultiplierMismatchError,
          "2 locant(s) with a multiplier for 1", None),
@@ -210,7 +214,8 @@ class TestParserPins:
             "2-methylbutane")
         with pytest.raises(LocantOutOfRangeError) as exc:
             parse_alkane_name("1" * 4300 + "-methyl butane")
-        assert str(exc.value) == f"locant {'1' * 4300} outside chain of length 4"
+        # the message cuts the locant to its head and its length
+        assert str(exc.value) == f"locant {'1' * 30}... (4300 digits) outside chain of length 4"
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
     @pytest.mark.parametrize("name, position", [
@@ -292,7 +297,10 @@ class TestOctaneDataset:
         assert len(set(forms)) == 18
 
     def test_csv_export(self):
-        lines = octane_dataset_csv().splitlines()
+        text = octane_dataset_csv()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "7c252412746969c381caab09fbd1d4b77fc17a1943ebb5a6ed86e3d15aa42dc0")
+        lines = text.splitlines()
         assert lines[0] == "name,acentric,entropy,MN_paper,MN_computed"
         assert len(lines) == 19
         assert lines[-2] == "n-octane,0.397898,111.67,90,90"

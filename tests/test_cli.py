@@ -1,3 +1,4 @@
+import hashlib
 import re
 import resource
 import shlex
@@ -528,6 +529,8 @@ class TestDegeneracy:
         f = tmp_path / "d.csv"
         code, _, _ = run(capsys, "degeneracy", "--csv", str(f))
         assert code == 0
+        assert hashlib.sha256(f.read_bytes()).hexdigest() == (
+            "757334e00278ad31af1566db7ef5a71f672f7ba5df0d31ad93de352b2051cc7f")
         lines = f.read_text().splitlines()
         assert lines[0] == "index,n,t,d"
         assert len(lines) == 9

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,12 @@ class TestOctaneRegression:
         assert lines[0] == "MN,acentric"
         assert len(lines) == 18
         assert lines[-1] == "90,0.397898"
+        for name, digest in (
+            ("acentric", "6491b78949fc72ecf7061e191894065a2c045bf3ab05dd00d93eb28064b4db85"),
+            ("entropy", "97e008c2cc6f8f1d7bd31e49df833d58fa7192d4f9fffcc7bfa2327b2eaff3cb"),
+        ):
+            text = octane_pairs_csv(name)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestRenderRatio:
