@@ -7,7 +7,7 @@ The parser covers exactly the nomenclature needed for the octane work
     group       := locants "-" multiplier? substituent
     locants     := int ("," int)*
     int         := 1 to the interpreter's int-string limit, 4300 by
-                   default, of ASCII digits
+                   default and where the limit is off, of ASCII digits
     multiplier  := "di" | "tri" | "tetra"
     substituent := "methyl" | "ethyl"
     parent      := "butane" | "pentane" | "hexane" | "heptane" | "octane"
@@ -26,10 +26,9 @@ or digits, and cut a longer one to its head and its length.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 
-from .graphs import Graph, _csv_text, _echo
+from .graphs import Graph, _csv_text, _echo, _int_reader
 from .indices import neighbourhood_zagreb
 
 
@@ -87,17 +86,21 @@ def parse_alkane_name(text: str) -> Graph:
         raise AlkaneSyntaxError("empty name", offset)
 
     pos = 2 if s.startswith("n-") else 0
+    read, cap = _int_reader()
     groups: list[tuple[list[int], str]] = []
     while match := _GROUP.match(s, pos):
         digits, comma, hyphen, multiplier, substituent = match.groups()
+        runs = digits.split(",")
         try:
-            locants = [int(d) for d in digits.split(",")]
+            locants = list(map(read, runs))
         except ValueError:
-            # int() refuses a run of ASCII digits only past its digit limit;
+            # the reader refuses a run of ASCII digits only past its cap;
             # the position is that of the first digit past it
-            limit = sys.get_int_max_str_digits()
-            run = match.start(1) + re.search(f"[0-9]{{{limit + 1}}}", digits).start()
-            raise AlkaneSyntaxError(f"locant longer than {limit} digits", offset + run + limit) from None
+            start = offset + match.start(1)
+            for run in runs:
+                if len(run) > cap:
+                    raise AlkaneSyntaxError(f"locant longer than {cap} digits", start + cap) from None
+                start += len(run) + 1
         if comma:
             raise AlkaneSyntaxError("expected a locant", offset + match.end(2))
         if not hyphen:

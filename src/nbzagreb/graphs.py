@@ -35,15 +35,17 @@ Edge-list text is read in bulk first: the lines that are not blank or
 comments are joined and every field goes through one ``int`` pass, with no
 per-line container kept alive; the lines and fields are freed before the
 graph is built.  A text with anything else (a data line that is not two
-runs of ASCII digits and ``-`` split by one space, a run ``int`` refuses, a
-bad header or a wrong edge count) is read again by the line loop, which is
-the only reader that reports syntax errors, with their line numbers.  Both
-readers give the same graph, or the same error, for every text.  Error
-messages cut an echoed line, vertex id, alkane-name text or locant past
-``_ECHO_LIMIT`` characters or digits to its head and its length.  This
-module also owns the package's CSV dialect, ``_csv_text``, which writes
-the verify report, the octane dataset, the QSPR pairs and the degeneracy
-table.
+runs of ASCII digits and ``-`` split by one space, a run past the digit
+limit of ``_int_reader``, a bad header or a wrong edge count) is read
+again by the line loop, which is the only reader that reports syntax
+errors, with their line numbers.  With the int-string limit off, that
+digit limit is the default one, 4300 digits, since ``int()`` takes time
+quadratic in the digits it reads.  Both readers give the same graph, or
+the same error, for every text.  Error messages cut an echoed line,
+vertex id, alkane-name text or locant past ``_ECHO_LIMIT`` characters or
+digits to its head and its length.  This module also owns the package's
+CSV dialect, ``_csv_text``, which writes the verify report, the octane
+dataset, the QSPR pairs and the degeneracy table.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import math
 import random
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import repeat
 
 #: Cap on graph order for the families, the products and parsed edge-list
@@ -89,6 +91,27 @@ def _check_cap(subject: str, count: int, *, edges: bool = False, shown=None) -> 
 #: Longest line, vertex id, alkane-name text or locant that an error
 #: message echoes whole.
 _ECHO_LIMIT = 60
+
+#: The int-string limit's default, in digits.
+_DEFAULT_DIGITS = 4300
+
+
+def _int_reader() -> tuple[Callable[[str], int], int]:
+    """The two parsers' reader of digit runs, and the most digits it reads.
+
+    That is ``int`` and the interpreter's int-string limit, past which
+    ``int()`` raises ``ValueError``.  Where the limit is off (0, or missing
+    before CPython 3.10.7), ``int()`` reads any length in time quadratic in
+    it, so the reader refuses a run past the default limit the same way.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return (int, limit) if limit else (_capped_int, _DEFAULT_DIGITS)
+
+
+def _capped_int(run: str) -> int:
+    if len(run) - run.startswith("-") > _DEFAULT_DIGITS:
+        raise ValueError(f"more than {_DEFAULT_DIGITS} digits")
+    return int(run)
 
 
 def _echo(value) -> str:
@@ -374,8 +397,8 @@ def star_graph(n: int) -> Graph:
 #   u v          (exactly m lines, 0 <= u,v < n)
 #
 # A field is an optional "-" and 1 to the interpreter's int-string limit
-# (4300 by default) of ASCII digits, with no "+" and no "_"; any whitespace
-# separates the two fields of a line.
+# (4300 by default, and 4300 where the limit is off) of ASCII digits, with
+# no "+" and no "_"; any whitespace separates the two fields of a line.
 
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a canonical :class:`Graph`.
@@ -396,10 +419,10 @@ _FIELD_CHARS = str.maketrans("", "", "-0123456789")
 def _bulk_fields(text: str) -> list[int] | None:
     """Every field of the lines that are not blank or comments, as ints; or
     ``None`` unless each such line is two runs of ASCII digits and ``-``
-    split by one space, and ``int`` reads every run.
+    split by one space, and the :func:`_int_reader` reader reads every run.
 
-    On such lines ``int`` and the line loop read the same values.  Its lines
-    and fields are freed on return, before the graph is built.
+    On such lines this reader and the line loop read the same values.  Its
+    lines and fields are freed on return, before the graph is built.
     """
     rows = [line for line in text.splitlines()
             if line and line[0] != "#" and not line.isspace()]
@@ -411,8 +434,9 @@ def _bulk_fields(text: str) -> list[int] | None:
     fields = data.split()
     if len(fields) != 2 * len(rows):
         return None
+    read, _ = _int_reader()
     try:
-        return list(map(int, fields))
+        return list(map(read, fields))
     except ValueError:
         return None
 
@@ -423,6 +447,7 @@ def _parse_lines(text: str) -> Graph:
     # and strip(), and [0-9] since int() also reads "1_0", "+2" and
     # non-ASCII digits; blank and comment lines never match
     row_of = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)").fullmatch
+    read, cap = _int_reader()
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     lineno = 0
@@ -438,11 +463,10 @@ def _parse_lines(text: str) -> Graph:
             raise EdgeListSyntaxError(f"non-integer field in {_echo(line)}", lineno)
         x, y = row.groups()
         try:
-            a, b = int(x), int(y)
+            a, b = read(x), read(y)
         except ValueError:
-            # int() refuses a field of the grammar only past its digit limit
-            limit = sys.get_int_max_str_digits()
-            raise EdgeListSyntaxError(f"field longer than {limit} digits", lineno) from None
+            # the reader refuses a field of the grammar only past its cap
+            raise EdgeListSyntaxError(f"field longer than {cap} digits", lineno) from None
         if header is None:
             header = (a, b)
             if a < 1 or b < 0:

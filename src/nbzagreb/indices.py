@@ -80,26 +80,33 @@ Three kernels fill the same exact histogram:
   O(order * (order + size)), memory O(order).
 * The bitset kernel runs every source at once (Then et al., "The More the
   Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
-  ``seen[v]`` and ``front[v]`` are ints with bit s set when source s has
-  reached v, and at most once per distance level each vertex ORs its
-  neighbours' fronts and counts the new bits.  Time about
+  after d levels ``ball[v]`` is an int with bit s set when source s is
+  within distance d of v.  Level d + 1 ORs each growing ball with its
+  neighbours' balls into a copy of the list, and ``hist[d + 1]`` is the
+  growth of the balls' summed bit counts.  A ball that stops growing is
+  its whole component, so its vertex leaves the loop.  Time about
   diameter * (order + size) big-int operations on order-bit ints, memory
-  at most about 3 * order**2 / 8 bytes (about 18 MB at order 7071, the
+  at most about 2 * order**2 / 8 bytes (about 12.5 MB at order 7071, the
   largest the budget admits).
-* The tree kernel takes each component of a forest from its BFS order: a
-  pair meets at its lowest common ancestor, so the histogram follows from
-  the depth profiles of the subtrees, merged small into large as the
-  order is folded up (Mohar and Pisanski, J. Math. Chem. 2 (1988)
-  267-277, for the Wiener sum).  Time O(k) for a k-vertex tree plus the
-  merges at branching vertices, at most one C-level element operation
-  per vertex pair; memory O(k).
+* The tree kernel takes each component of a forest from the BFS order of
+  its second sweep: a pair meets at its lowest common ancestor, so the
+  histogram follows from the depth profiles of the subtrees, merged small
+  into large as the order is folded up (Mohar and Pisanski, J. Math.
+  Chem. 2 (1988) 267-277, for the Wiener sum).  Time O(k) for a k-vertex
+  tree plus the merges at branching vertices, at most one C-level element
+  operation per vertex pair; memory O(k).  The second sweep starts at a
+  peripheral vertex, so a path never branches.
 
 A forest, a graph with order - size components, takes the tree kernel.
 For any other graph the deepest second sweep over the components gives a
 diameter estimate L, at least half the largest component diameter.  The
-bitset kernel runs when 4 * L < order, per-source BFS otherwise: on
-cycles, ladders and other long graphs the bitsets' levels cost more than
-the sources they share.  :data:`HARARY_WORK_BUDGET` bounds
+bitset kernel runs when L <= 1000, per-source BFS otherwise.  Bitsets
+take about L * (order + size) operations on order-bit ints and per-source
+BFS order * (order + size) steps on small ints, so the order all but
+cancels from their ratio, which grows with L: on cycles, ladders, prisms,
+nanotubes, fences and cycles with a long tail of up to 5000 vertices,
+this rule ran each within 1.25 times the faster kernel's time.
+:data:`HARARY_WORK_BUDGET` bounds
 order * (order + size), the per-source BFS steps, which is an upper bound
 for all three kernels; it is checked before the adjacency is read or any
 BFS runs.
@@ -172,7 +179,7 @@ def harary(G: Graph) -> Fraction:
 
     The distance histogram comes from the tree kernel on a forest; on any
     other graph, from the bitset kernel when a double-sweep diameter
-    estimate L has 4 * L < order, and from one BFS per source otherwise
+    estimate L is at most 1000, and from one BFS per source otherwise
     (see the module docstring).  Over :data:`HARARY_WORK_BUDGET` per-source
     BFS steps, an upper bound for all three kernels, it raises
     :class:`TooLargeError` before any BFS runs.
@@ -196,10 +203,13 @@ def _distance_histogram(G: Graph) -> list[int]:
     mark, components = _components(adj)
     if len(components) == G.order - G.size:
         hist = [0]
-        for order, up in components:
-            _tree_histogram(order, up, hist)
+        for order, _ in components:
+            # rooted at a peripheral vertex, a path never branches
+            _tree_histogram(*_second_sweep(adj, order, mark), hist)
         return hist
-    if 4 * _diameter_estimate(adj, mark, components) < G.order:
+    # past a depth of about 1000 the bitsets' levels cost more than the
+    # sources they share, at any order (see the module docstring)
+    if _diameter_estimate(adj, mark, components) <= 1000:
         return _bitset_histogram(G)
     return _per_source_histogram(G)
 
@@ -316,36 +326,31 @@ def _second_sweep(adj, order: list[int], mark: list[int]) -> tuple[list[int], li
 def _bitset_histogram(G: Graph) -> list[int]:
     """All-sources BFS with one bit per source; see the module docstring.
 
-    A vertex stays active while some source first reaches it: every
-    vertex is a source, so a vertex that gains nothing at distance d has
-    no vertex at distance d and none farther.
+    A vertex stays active while its ball grows: every vertex is a source,
+    so a ball that gains nothing at distance d has no vertex at distance d
+    and none farther, and is its whole component from then on.
     """
     adj = G.adjacency
-    seen = [1 << v for v in range(G.order)]
-    front = seen[:]
-    active = [v for v in range(G.order) if adj[v]]
+    ball = [1 << v for v in range(G.order)]
+    active = range(G.order)
     hist = [0]
-    while active:
-        layer = [0] * G.order
+    total = G.order
+    while True:
+        grown = ball[:]
         still = []
-        count = 0
         for v in active:
-            new = 0
+            b = ball[v]
             for u in adj[v]:
-                new |= front[u]
-            s = seen[v]
-            new &= ~s
-            if new:
-                seen[v] = s | new
-                layer[v] = new
-                count += new.bit_count()
+                b |= ball[u]
+            if b != ball[v]:
+                grown[v] = b
                 still.append(v)
-        if not count:
-            break
-        hist.append(count)
-        front = layer
-        active = still
-    return hist
+        if not still:
+            return hist
+        ball, active = grown, still
+        count = sum(map(int.bit_count, ball))
+        hist.append(count - total)
+        total = count
 
 
 def _per_source_histogram(G: Graph) -> list[int]:

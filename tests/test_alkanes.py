@@ -236,6 +236,26 @@ class TestParserPins:
         assert str(exc.value) == f"position {position}: locant longer than 640 digits"
         assert exc.value.position == position
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    @pytest.mark.parametrize("name, position", [
+        ("1" * 300000 + "-methylbutane", 4300),
+        ("2," + "0" * 300000 + "2-dimethyl hexane", 4302),
+    ], ids=["one-locant", "second-locant"])
+    def test_locant_past_the_default_limit_with_the_limit_off(self, name, position):
+        # int() would read the locant in quadratic time
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(AlkaneSyntaxError) as exc:
+                parse_alkane_name(name)
+            # a locant at the default limit is read
+            with pytest.raises(LocantOutOfRangeError):
+                parse_alkane_name("1" * 4300 + "-methyl butane")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(exc.value) == f"position {position}: locant longer than 4300 digits"
+        assert exc.value.position == position
+
     @given(rendered_names())
     def test_rendered_names_against_validated_tree(self, case):
         name, n, edges = case

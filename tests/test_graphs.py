@@ -409,6 +409,30 @@ class TestEdgeListFormat:
             sys.set_int_max_str_digits(limit)
         assert str(exc.value) == "line 2: field longer than 640 digits"
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("1" * 300000 + " 0\n", 1, id="header"),
+            pytest.param("2 1\n0 " + "1" * 300000 + "\n", 2, id="edge"),
+            pytest.param("2 1\n0\t-" + "1" * 300000 + "\n", 2, id="edge-tab"),
+        ],
+    )
+    def test_field_past_the_default_limit_named_with_the_limit_off(self, text, line):
+        # int() would read the field in quadratic time
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(EdgeListSyntaxError) as exc:
+                parse_edge_list(text)
+            # a field at the default limit is read
+            with pytest.raises(VertexOutOfRangeError, match=r"\(4300 digits\)\) has a vertex"):
+                parse_edge_list("2 1\n0 -" + "1" * 4300 + "\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(exc.value) == f"line {line}: field longer than 4300 digits"
+        assert exc.value.line == line
+
     @pytest.mark.parametrize(
         "text, error, message",
         [

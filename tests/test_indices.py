@@ -569,6 +569,11 @@ def _random_connected(n, seed):
     return Graph(n, sorted(edges))
 
 
+def _tadpole(n):
+    """A triangle with a path on its vertex 2: n vertices, diameter n - 2."""
+    return Graph(n, [(0, 1), (0, 2), (1, 2)] + [(v, v + 1) for v in range(2, n - 1)])
+
+
 def _refuse_kernel(monkeypatch, name):
     def never(G):
         raise AssertionError(f"{name} ran")
@@ -579,7 +584,7 @@ def _refuse_kernel(monkeypatch, name):
 class TestHararyKernels:
     """The tree kernel, the bitset kernel and per-source BFS fill the same
     histogram.  A forest takes the tree kernel; on any other graph the
-    double-sweep diameter estimate L picks bitsets iff 4 * L < order."""
+    double-sweep diameter estimate L picks bitsets iff L <= 1000."""
 
     @staticmethod
     def _fw_histogram(g):
@@ -594,6 +599,10 @@ class TestHararyKernels:
     @example(empty_graph(1))
     @example(empty_graph(6))
     @example(Graph(7, [(0, 1), (2, 3), (3, 4), (5, 6)]))
+    # a lollipop: the cycle's balls stop growing while the tail's still grow
+    @example(Graph(14, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), *((v, v + 1) for v in range(4, 13))]))
+    # C_4 is done after two levels, the path beside it after seven
+    @example(Graph(12, [(0, 1), (1, 2), (2, 3), (0, 3), *((v, v + 1) for v in range(4, 11))]))
     def test_kernels_agree_with_floyd_warshall(self, g):
         hist = indices._bitset_histogram(g)
         assert hist == indices._per_source_histogram(g) == self._fw_histogram(g)
@@ -603,17 +612,13 @@ class TestHararyKernels:
     @pytest.mark.parametrize(
         "g",
         [
-            pytest.param(cycle_graph(40), id="cycle40"),
-            pytest.param(families.ladder(30), id="ladder30"),
-            # from its centre, vertex 0, the spider is only 25 deep and
-            # 4 * 25 < 101; the second sweep finds the diameter 50
-            pytest.param(_spider_with_chord(4, 25), id="spider101+chord"),
-            pytest.param(complete_graph(4), id="K4"),
-            pytest.param(families.hypercube(4), id="Q4"),
-            pytest.param(families.grid(4, 4), id="grid4x4"),
+            # L = 1001, one past the rule; from its centre, vertex 0, the
+            # spider is only 501 deep
+            pytest.param(_spider_with_chord(2, 501), id="spider1003+chord"),
             pytest.param(
-                Graph(45, [(i, i + 1) for i in range(39)] + [(0, 39), (40, 41), (41, 42)]),
-                id="cycle40+path3+2K1",
+                Graph(1007, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+                      + [(4 + u, 4 + v) for u, v in _tadpole(1003).edges]),
+                id="K4+tadpole1003",
             ),
         ],
     )
@@ -635,6 +640,21 @@ class TestHararyKernels:
             pytest.param(Graph(7, [(0, 1), (0, 2), (1, 2)]), id="K3+4K1"),
             pytest.param(Graph(11, [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (7, 8), (9, 10)]),
                          id="K3+4K2"),
+            # 4 * L >= order: long for their order, but short in L
+            pytest.param(cycle_graph(40), id="cycle40"),
+            pytest.param(families.ladder(30), id="ladder30"),
+            # from its centre, vertex 0, the spider is only 25 deep; the
+            # second sweep finds the diameter 50
+            pytest.param(_spider_with_chord(4, 25), id="spider101+chord"),
+            pytest.param(complete_graph(4), id="K4"),
+            pytest.param(families.hypercube(4), id="Q4"),
+            pytest.param(families.grid(4, 4), id="grid4x4"),
+            pytest.param(
+                Graph(45, [(i, i + 1) for i in range(39)] + [(0, 39), (40, 41), (41, 42)]),
+                id="cycle40+path3+2K1",
+            ),
+            # L = 1000, at the rule
+            pytest.param(_tadpole(1002), id="tadpole1002"),
         ],
     )
     def test_short_graphs_take_bitsets(self, monkeypatch, g):
@@ -674,6 +694,21 @@ class TestHararyKernels:
             indices._tree_histogram(order, up, hist)
         assert hist == indices._per_source_histogram(g) == self._fw_histogram(g)
         assert indices._distance_histogram(g) == hist
+
+    def test_tree_rooted_at_its_second_sweep(self, monkeypatch):
+        # vertex 0 is the middle of this 3001-vertex path: rooted there, two
+        # 1500-deep profiles would merge at the root
+        calls = []
+
+        def merge(ours, theirs, hist):
+            calls.append((len(ours), len(theirs)))
+            return merge_profiles(ours, theirs, hist)
+
+        merge_profiles = indices._merge_profiles
+        monkeypatch.setattr(indices, "_merge_profiles", merge)
+        hist = indices._distance_histogram(_spider(2, 1500))
+        assert hist == [0] + [2 * (3001 - d) for d in range(1, 3001)]
+        assert calls == []
 
     def test_path_at_the_budget_on_the_tree_kernel(self):
         # 5000 * (5000 + 4999) steps: just inside HARARY_WORK_BUDGET, and
