@@ -32,32 +32,37 @@ construction: the elementary families and ``random_graph`` here, the
 alkane trees and the products in :mod:`.products`.
 
 Edge-list text is read in bulk first: the lines that are not blank or
-comments are joined and every field goes through one ``int`` pass, with no
-per-line container kept alive; the lines and fields are freed before the
-graph is built.  A text with anything else (a data line that is not two
-runs of ASCII digits and ``-`` split by one space, a run past the digit
-limit of ``_int_reader``, a bad header or a wrong edge count) is read
-again by the line loop, which is the only reader that reports syntax
-errors, with their line numbers.  With the int-string limit off, that
-digit limit is the default one, 4300 digits, since ``int()`` takes time
-quadratic in the digits it reads.  Both readers give the same graph, or
-the same error, for every text.  Error messages cut an echoed line,
-vertex id, alkane-name text or locant past ``_ECHO_LIMIT`` characters or
-digits to its head and its length.  This module also owns the package's
-CSV dialect, ``_csv_text``, which writes the verify report, the octane
-dataset, the QSPR pairs and the degeneracy table.
+comments are joined, their separators become commas, and json's C scanner
+reads the fields as one JSON array of ints, with no string made per line
+or per field; the lines are freed before the graph is built.  JSON
+integers have no leading zero, so a zero-padded field (``007``) sends the
+text to the line loop, which reads the same graph, only more slowly.  A
+text with anything else (a data line that is not two runs of ASCII digits
+and ``-`` split by one space, a run past the digit limit of
+``_int_reader``, a bad header or a wrong edge count) is read again by the
+line loop too, which is the only reader that reports syntax errors, with
+their line numbers.  With the int-string limit off, that digit limit is
+the default one, 4300 digits, since ``int()`` takes time quadratic in the
+digits it reads.  Both readers give the same graph, or the same error, for
+every text.  The serializer writes the whole text but its header with one
+``%`` format call over all the edges' ids.  Error messages cut an echoed
+line, vertex id, alkane-name text or locant past ``_ECHO_LIMIT``
+characters or digits to its head and its length.  This module also owns
+the package's CSV dialect, ``_csv_text``, which writes the verify report,
+the octane dataset, the QSPR pairs and the degeneracy table.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import random
 import re
 import sys
 from collections.abc import Callable, Iterable
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 #: Cap on graph order for the families, the products and parsed edge-list
 #: headers; wreath products blow up as |V2|^2 * |E1|.
@@ -175,6 +180,13 @@ class VertexOutOfRangeError(GraphError):
     """A vertex id falls outside ``0 .. order-1``."""
 
 
+def _out_of_range(u, v, order: int) -> VertexOutOfRangeError:
+    """The error for a pair ``(u, v)`` with a vertex outside ``0..order-1``."""
+    return VertexOutOfRangeError(
+        f"edge ({_echo(u)}, {_echo(v)}) has a vertex outside 0..{order - 1}"
+    )
+
+
 class EdgeListSyntaxError(GraphError):
     """Malformed edge-list text.  ``line`` is the offending 1-based line."""
 
@@ -202,14 +214,21 @@ class Graph:
     def __init__(self, order: int, edge_pairs: Iterable[tuple[int, int]] = ()):
         _check_order(order)
         seen: set[int] = set()
+        # the orientation first, then only the two range tests it leaves
         for u, v in edge_pairs:
-            if not (0 <= u < order and 0 <= v < order):
-                raise VertexOutOfRangeError(
-                    f"edge ({_echo(u)}, {_echo(v)}) has a vertex outside 0..{order - 1}"
-                )
-            if u == v:
+            if u < v:
+                if u < 0 or v >= order:
+                    raise _out_of_range(u, v, order)
+                code = u * order + v
+            elif v < u:
+                if v < 0 or u >= order:
+                    raise _out_of_range(u, v, order)
+                code = v * order + u
+            else:
+                # both ids tested: a NaN is neither below, above nor equal
+                if not (0 <= u < order and 0 <= v < order):
+                    raise _out_of_range(u, v, order)
                 raise LoopEdgeError(f"edge ({u}, {v}) is a self-loop")
-            code = u * order + v if u < v else v * order + u
             if code in seen:
                 raise DuplicateEdgeError(f"edge ({u}, {v}) appears more than once")
             seen.add(code)
@@ -408,35 +427,42 @@ def parse_edge_list(text: str) -> Graph:
     """
     nums = _bulk_fields(text)
     if nums is not None and 1 <= nums[0] <= DEFAULT_VERTEX_CAP and nums[1] == len(nums) // 2 - 1:
-        return Graph(nums[0], zip(nums[2::2], nums[3::2]))
+        fields = islice(nums, 2, None)
+        return Graph(nums[0], zip(fields, fields))
     return _parse_lines(text)
 
 
 #: Deletes the characters a bulk-read field may hold, leaving the separators.
 _FIELD_CHARS = str.maketrans("", "", "-0123456789")
 
+#: Turns the bulk-read separators into JSON array commas.
+_COMMAS = str.maketrans(" \n", ",,")
+
 
 def _bulk_fields(text: str) -> list[int] | None:
     """Every field of the lines that are not blank or comments, as ints; or
     ``None`` unless each such line is two runs of ASCII digits and ``-``
-    split by one space, and the :func:`_int_reader` reader reads every run.
+    split by one space, each run a JSON integer that the
+    :func:`_int_reader` reader reads.
 
-    On such lines this reader and the line loop read the same values.  Its
-    lines and fields are freed on return, before the graph is built.
+    The runs are read as one JSON array by json's C scanner.  JSON's
+    integers, ``-?(0|[1-9][0-9]*)``, are the field grammar's without a
+    leading zero, so a zero-padded run (``007``, ``-01``) returns ``None``
+    and the line loop reads the text.  On the lines read here this reader
+    and the line loop read the same values.  Its lines are freed on
+    return, before the graph is built.
     """
     rows = [line for line in text.splitlines()
             if line and line[0] != "#" and not line.isspace()]
     data = "\n".join(rows)
-    # one space per row and nothing else besides digits and "-"; a run
-    # that is empty shows as a missing field in the count below
+    # one space per row and nothing else besides digits and "-"; an empty
+    # run becomes ",,", a leading "," or a trailing ",", which json refuses
     if data.translate(_FIELD_CHARS) != " \n" * (len(rows) - 1) + " ":
-        return None
-    fields = data.split()
-    if len(fields) != 2 * len(rows):
         return None
     read, _ = _int_reader()
     try:
-        return list(map(read, fields))
+        # the scanner calls back into Python only where read is not int
+        return json.loads("[" + data.translate(_COMMAS) + "]", parse_int=read)
     except ValueError:
         return None
 
@@ -489,7 +515,7 @@ def _parse_lines(text: str) -> Graph:
 
 def serialize_edge_list(G: Graph) -> str:
     """Serialize ``G``; ``parse_edge_list`` inverts this exactly."""
-    return f"{G.order} {G.size}\n" + "".join(map("%d %d\n".__mod__, G.edges))
+    return f"{G.order} {G.size}\n" + "%d %d\n" * G.size % tuple(chain.from_iterable(G.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import sys
 from unittest import mock
 
@@ -43,6 +44,39 @@ def graphs(draw, max_order=8):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
+
+
+@st.composite
+def pair_lists(draw, max_order=6):
+    """An order and pairs of ids in ``range(-2, order + 2)``, some of them an
+    earlier pair again, as given or flipped."""
+    order = draw(st.integers(1, max_order))
+    ids = st.integers(-2, order + 1)
+    pairs = []
+    for _ in range(draw(st.integers(0, 10))):
+        if pairs and draw(st.booleans()):
+            u, v = draw(st.sampled_from(pairs))
+            pairs.append((v, u) if draw(st.booleans()) else (u, v))
+        else:
+            pairs.append((draw(ids), draw(ids)))
+    return order, pairs
+
+
+def _reference_error(order, pairs):
+    """The type and message of the error ``Graph(order, pairs)`` raises, by
+    the constructor's rule stated as a plain loop, or ``None`` for no error:
+    the first failing pair in input order is named; for one pair, an id out
+    of range comes before a loop, and a loop before a duplicate."""
+    seen = set()
+    for u, v in pairs:
+        if not (0 <= u < order and 0 <= v < order):
+            return VertexOutOfRangeError, f"edge ({u}, {v}) has a vertex outside 0..{order - 1}"
+        if u == v:
+            return LoopEdgeError, f"edge ({u}, {v}) is a self-loop"
+        if frozenset((u, v)) in seen:
+            return DuplicateEdgeError, f"edge ({u}, {v}) appears more than once"
+        seen.add(frozenset((u, v)))
+    return None
 
 
 class TestConstruction:
@@ -89,6 +123,29 @@ class TestConstruction:
             Graph(4, pairs)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+    @given(pair_lists())
+    @example((3, [(4, 4)]))
+    @example((3, [(-1, -1)]))
+    @example((3, [(0, 2), (2, 0)]))
+    @example((3, [(0, 1), (1, 0), (5, 0)]))
+    @example((4, [(0, 1), (2, 1), (3, 0)]))
+    def test_errors_follow_the_reference_rule(self, case):
+        order, pairs = case
+        expected = _reference_error(order, pairs)
+        if expected is None:
+            g = Graph(order, pairs)
+            assert g.order == order
+            assert g.edges == tuple(sorted({(min(p), max(p)) for p in pairs}))
+        else:
+            with pytest.raises(GraphError) as exc:
+                Graph(order, pairs)
+            assert (type(exc.value), str(exc.value)) == expected
+
+    @pytest.mark.parametrize("pairs", [[("a", 1)], [(0, None)], [(None, None)], [(0, 1), (1, "x")]])
+    def test_non_number_raises_type_error(self, pairs):
+        with pytest.raises(TypeError):
+            Graph(3, pairs)
 
     def test_zero_order_rejected(self):
         with pytest.raises(GraphError):
@@ -514,6 +571,21 @@ class TestEdgeListFormat:
         g = Graph(3, [(1, 2), (0, 2), (0, 1)])
         assert serialize_edge_list(g) == "3 3\n0 1\n0 2\n1 2\n"
 
+    @staticmethod
+    def _line_per_edge(g):
+        return f"{g.order} {g.size}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+
+    @given(graphs())
+    @example(empty_graph(1))
+    @example(empty_graph(5))
+    def test_serialize_writes_a_line_per_edge(self, g):
+        assert serialize_edge_list(g) == self._line_per_edge(g)
+
+    def test_serialize_writes_a_line_per_edge_of_a_large_grid(self):
+        g = product(path_graph(224), path_graph(224), ProductKind.CARTESIAN)
+        assert g.size == 99904
+        assert serialize_edge_list(g) == self._line_per_edge(g)
+
     def test_round_trip_100_random_graphs(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -571,6 +643,9 @@ class TestBulkRead:
     @example("0 0\n")
     @example("-1 0\n")
     @example(f"{DEFAULT_VERTEX_CAP + 1} 0\n")
+    @example("9 2\n007 1\n1 2\n")
+    @example("3 1\n-0 2\n")
+    @example("3 1\n00 1\n")
     def test_hostile_text_reads_as_the_line_loop(self, text):
         assert _outcome(parse_edge_list, text) == _outcome(graphs_module._parse_lines, text)
 
@@ -603,6 +678,22 @@ class TestBulkRead:
         _, tabbed = self._benchmark_shaped("\t")
         with pytest.raises(AssertionError, match="line loop reached"):
             parse_edge_list(tabbed)
+
+    def test_zero_padded_ids_reach_the_line_loop_once(self, monkeypatch):
+        # JSON integers have no leading zero, so the bulk read refuses "0007"
+        calls = []
+        line_loop = graphs_module._parse_lines
+
+        def counted(text):
+            calls.append(text)
+            return line_loop(text)
+
+        monkeypatch.setattr(graphs_module, "_parse_lines", counted)
+        g, text = self._benchmark_shaped(" ")
+        padded = re.sub(r"(?m)^([0-9]+) ([0-9]+)$", lambda m: f"{m[1]:0>4} {m[2]:0>4}", text)
+        assert padded != text and "0007 " in padded
+        assert parse_edge_list(padded) == parse_edge_list(text) == g
+        assert calls == [padded]
 
     @pytest.mark.parametrize("sep", [" ", "\t"])
     def test_both_paths_read_the_benchmark_shape(self, sep):
