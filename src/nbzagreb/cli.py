@@ -7,7 +7,8 @@ random-trial rule is selected).  Exit codes: 0 success, 1 usage error
 (including an ``--m``, ``--n`` or ``--sizes`` that no selected formula or
 family takes), 2 data error (including running out of memory).  Numeric
 output: integers verbatim, rationals as ``p/q``, floats with 6
-significant digits (``--precision`` widens).
+significant digits (``--precision`` widens).  Every integer flag is read
+as edge-list fields are.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from .alkanes import parse_alkane_name
 from .families import FAMILIES, build_family, plan_family
 from .formulas import CATALOG, FORMULA_IDS
-from .graphs import _csv_text, parse_edge_list, serialize_edge_list
+from .graphs import _csv_text, _decimal, _echo, _int_reader, parse_edge_list, serialize_edge_list
 from .indices import INDEX_IDS, _check_budget, compute_index, neighbourhood_zagreb
 from .products import ProductKind, product
 from .qspr import (
@@ -65,29 +66,13 @@ def _format_number(value, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-#: Digits per ``str`` call in :func:`_decimal`: under 640, the lowest
-#: limit on int-to-string conversion that CPython lets anyone set.
-_DECIMAL_CHUNK = 600
-
-
-def _decimal(value: int) -> str:
-    """``str(value)`` of a nonnegative ``value`` of any length, without
-    changing the interpreter-wide limit on int-to-string conversion: halves
-    are split off by ``divmod`` until each fits one ``str`` call."""
-    if value < 10 ** _DECIMAL_CHUNK:
-        return str(value)
-    # the low half gets about half the digits (log10(2) > 0.3)
-    digits = value.bit_length() * 3 // 20
-    high, low = divmod(value, 10 ** digits)
-    return _decimal(high) + _decimal(low).zfill(digits)
-
-
 def _int(text: str) -> int:
-    """argparse type: an integer; a bad one gets argparse's own ``int`` wording."""
+    """argparse type: an integer read as an edge-list field; argparse's ``int`` wording."""
+    read, _ = _int_reader()
     try:
-        return int(text)
+        return read(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
 def _parse_int_range(text: str) -> list[int]:
@@ -97,9 +82,9 @@ def _parse_int_range(text: str) -> list[int]:
         try:
             values = list(range(_int(lo), _int(hi) + 1))
         except OverflowError:
-            raise argparse.ArgumentTypeError(f"range {text!r} is too long") from None
+            raise argparse.ArgumentTypeError(f"range {_echo(text)} is too long") from None
         if not values:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty range {_echo(text)}")
         return values
     return [_int(text)]
 
@@ -107,7 +92,7 @@ def _parse_int_range(text: str) -> list[int]:
 def _parse_sizes(text: str) -> list[int]:
     sizes = [_int(tok.strip()) for tok in text.split(",") if tok.strip()]
     if not sizes:
-        raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
+        raise argparse.ArgumentTypeError(f"no sizes in {_echo(text)}")
     return sizes
 
 
@@ -118,9 +103,9 @@ def _bounded_int(minimum: int, maximum: int | None = None):
     def parse(text: str) -> int:
         value = _int(text)
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {_echo(value)}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {_echo(value)}")
         return value
 
     return parse
@@ -146,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="compute a topological index")
     p_compute.set_defaults(run=_cmd_compute)
     p_compute.add_argument("--family", choices=sorted(FAMILIES))
-    p_compute.add_argument("--n", type=int)
-    p_compute.add_argument("--m", type=int)
+    p_compute.add_argument("--n", type=_int)
+    p_compute.add_argument("--m", type=_int)
     p_compute.add_argument("--sizes", type=_parse_sizes, metavar="N1,N2,...")
     p_compute.add_argument("--input", metavar="FILE", help="edge-list file")
     p_compute.add_argument("--index", required=True, choices=INDEX_IDS)
@@ -170,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--formula", required=True, metavar="ID|all")
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--seed", type=_int)
     p_verify.add_argument("--trials", type=_bounded_int(1), default=DEFAULT_TRIALS)
     p_verify.add_argument("--m", type=_parse_int_range, metavar="INT|A..B")
     p_verify.add_argument("--n", type=_parse_int_range, metavar="INT|A..B")
@@ -246,7 +231,7 @@ def _cmd_verify(args) -> int:
         selected = [args.formula]
     else:
         return _usage(
-            f"unknown formula {args.formula!r}; expected 'all' or one of {', '.join(FORMULA_IDS)}"
+            f"unknown formula {_echo(args.formula)}; expected 'all' or one of {', '.join(FORMULA_IDS)}"
         )
     untaken = _untaken_param(args, {p for f in selected for p in CATALOG[f].params})
     if untaken:

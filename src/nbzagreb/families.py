@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from math import prod
 
-from .graphs import _SIZES, Graph, _check_cap, complete_graph, cycle_graph, path_graph
+from .graphs import _SIZES, Graph, _check_cap, _echo, complete_graph, cycle_graph, path_graph
 from .products import _CARTESIAN, _CONSTRUCTORS, _WREATH, ProductKind, _check_product, cartesian_n
 
 
@@ -119,14 +119,14 @@ def _hamming(sizes: Sequence[int]) -> tuple:
     if not sizes:
         raise ValueError("hamming needs at least one factor size")
     if any(s < 2 for s in sizes):
-        raise ValueError(f"hamming factor sizes must be >= 2, got {list(sizes)}")
+        raise ValueError(f"hamming factor sizes must be >= 2, got {_echo(list(sizes))}")
     _check_factor_count(len(sizes))
     return (_CARTESIAN, *[(complete_graph, s) for s in sizes])
 
 
 def _hypercube(m: int) -> tuple:
     if m < 1:
-        raise ValueError(f"hypercube dimension must be >= 1, got {m}")
+        raise ValueError(f"hypercube dimension must be >= 1, got {_echo(m)}")
     _check_factor_count(m)
     return (_CARTESIAN, *[(complete_graph, 2)] * m)
 

@@ -41,6 +41,7 @@ from math import prod
 from . import families
 from .graphs import (
     Graph,
+    _echo,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -158,7 +159,7 @@ def mn_hamming(sizes: Sequence[int]) -> int:
     regular of degree ``sum(sizes) - len(sizes)``).
     """
     if any(s < 2 for s in sizes):
-        raise ValueError(f"hamming sizes must each be >= 2, got {list(sizes)}")
+        raise ValueError(f"hamming sizes must each be >= 2, got {_echo(list(sizes))}")
     a = [s - 1 for s in sizes]
     idx = range(len(a))
     bracket = sum(x ** 4 for x in a)

@@ -45,10 +45,13 @@ their line numbers.  With the int-string limit off, that digit limit is
 the default one, 4300 digits, since ``int()`` takes time quadratic in the
 digits it reads.  Both readers give the same graph, or the same error, for
 every text.  The serializer writes the whole text but its header with one
-``%`` format call over all the edges' ids.  Error messages cut an echoed
-line, vertex id, alkane-name text or locant past ``_ECHO_LIMIT``
-characters or digits to its head and its length.  This module also owns
-the package's CSV dialect, ``_csv_text``, which writes the verify report,
+``%`` format call over all the edges' ids.  This module owns the
+int-string limit: one reader (``_int_reader``, for edge-list fields,
+locants and the CLI's integer flags), one writer (``_decimal``, for the
+CLI's output and the echo) and one echo (``_echo``), which cuts a line,
+vertex id, alkane-name text, locant, CLI flag value or list past
+``_ECHO_LIMIT`` characters or digits to its head and its length.  It also owns the
+package's CSV dialect, ``_csv_text``, which writes the verify report,
 the octane dataset, the QSPR pairs and the degeneracy table.
 """
 
@@ -57,7 +60,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
 import re
 import sys
@@ -93,8 +95,8 @@ def _check_cap(subject: str, count: int, *, edges: bool = False, shown=None) -> 
         raise SizeOverflowError(f"{subject} {shown} exceeds {unit} cap {cap}")
 
 
-#: Longest line, vertex id, alkane-name text or locant that an error
-#: message echoes whole.
+#: Longest line, vertex id, alkane-name text, locant, CLI flag value or
+#: list that an error message echoes whole.
 _ECHO_LIMIT = 60
 
 #: The int-string limit's default, in digits.
@@ -119,30 +121,38 @@ def _capped_int(run: str) -> int:
     return int(run)
 
 
-def _echo(value) -> str:
-    """``value``, a line of text (as its ``repr``) or a number, as an error
-    message shows it: whole up to ``_ECHO_LIMIT`` characters or digits,
-    else cut to its first half of that and its length.
+#: Digits per ``str`` call in :func:`_decimal`: under 640, the lowest
+#: limit on int-to-string conversion that CPython lets anyone set.
+_DECIMAL_CHUNK = 600
 
-    An int past the interpreter's int-string limit, 4300 digits by default,
-    has no ``str``, so its digits are counted from its logarithm, which
-    works at any size.
-    """
-    if isinstance(value, str):
-        if len(value) <= _ECHO_LIMIT:
-            return repr(value)
-        return f"{value[:_ECHO_LIMIT // 2]!r}... ({len(value)} characters)"
-    if not isinstance(value, int) or -10 ** _ECHO_LIMIT < value < 10 ** _ECHO_LIMIT:
+
+def _decimal(value: int) -> str:
+    """``str(value)`` of a nonnegative ``value`` of any length, without
+    changing the interpreter-wide limit on int-to-string conversion: halves
+    are split off by ``divmod`` until each fits one ``str`` call."""
+    if value < 10 ** _DECIMAL_CHUNK:
         return str(value)
-    n = abs(value)
-    digits = int(math.log10(n)) + 1
-    # the float logarithm can be off by one next to a power of ten
-    if n < 10 ** (digits - 1):
-        digits -= 1
-    elif n >= 10 ** digits:
-        digits += 1
-    head = n // 10 ** (digits - _ECHO_LIMIT // 2)
-    return f"{'-' if value < 0 else ''}{head}... ({digits} digits)"
+    # the low half gets about half the digits (log10(2) > 0.3)
+    digits = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10 ** digits)
+    return _decimal(high) + _decimal(low).zfill(digits)
+
+
+def _echo(value) -> str:
+    """``value``, a line of text (as its ``repr``), a number or a list (as
+    its ``str``), as an error message shows it: whole up to ``_ECHO_LIMIT``
+    characters or digits, else cut to its first half of that and its
+    length.  An int's digits come from :func:`_decimal`, at any length."""
+    if isinstance(value, int):
+        if -10 ** _ECHO_LIMIT < value < 10 ** _ECHO_LIMIT:
+            return str(value)
+        digits = _decimal(abs(value))
+        return f"{'-' if value < 0 else ''}{digits[:_ECHO_LIMIT // 2]}... ({len(digits)} digits)"
+    text = str(value)
+    shown = repr if isinstance(value, str) else str
+    if len(text) <= _ECHO_LIMIT:
+        return shown(text)
+    return f"{shown(text[:_ECHO_LIMIT // 2])}... ({len(text)} characters)"
 
 
 def _csv_text(header, rows) -> str:

@@ -88,8 +88,8 @@ Three kernels fill the same exact histogram:
   diameter * (order + size) big-int operations on order-bit ints, memory
   at most about 2 * order**2 / 8 bytes (about 12.5 MB at order 7071, the
   largest the budget admits).
-* The tree kernel takes each component of a forest from the BFS order of
-  its second sweep: a pair meets at its lowest common ancestor, so the
+* The tree kernel takes each component of a forest from the ``up`` links
+  of its second sweep: a pair meets at its lowest common ancestor, so the
   histogram follows from the depth profiles of the subtrees, merged small
   into large as the order is folded up (Mohar and Pisanski, J. Math.
   Chem. 2 (1988) 267-277, for the Wiener sum).  Time O(k) for a k-vertex
@@ -201,38 +201,35 @@ def _distance_histogram(G: Graph) -> list[int]:
     """
     adj = G.adjacency
     mark, components = _components(adj)
+    ups = [_second_sweep(adj, order, mark)[1] for order, _ in components]
     if len(components) == G.order - G.size:
         hist = [0]
-        for order, _ in components:
+        for up in ups:
             # rooted at a peripheral vertex, a path never branches
-            _tree_histogram(*_second_sweep(adj, order, mark), hist)
+            _tree_histogram(up, hist)
         return hist
     # past a depth of about 1000 the bitsets' levels cost more than the
     # sources they share, at any order (see the module docstring)
-    if _diameter_estimate(adj, mark, components) <= 1000:
+    if max(map(_depth, ups)) <= 1000:
         return _bitset_histogram(G)
     return _per_source_histogram(G)
 
 
-def _diameter_estimate(adj, mark: list[int], components) -> int:
-    """Depth of the deepest second sweep over the :func:`_components` of a
-    graph, from its ``mark`` list and components."""
-    estimate = 0
-    for order, _ in components:
-        _, up = _second_sweep(adj, order, mark)
-        j, depth = len(up) - 1, 0
-        while j:
-            j = up[j]
-            depth += 1
-        estimate = max(estimate, depth)
-    return estimate
+def _depth(up: list[int]) -> int:
+    """Depth of the last position of a :func:`_bfs` ``up`` list, the BFS's
+    deepest level."""
+    j, depth = len(up) - 1, 0
+    while j:
+        j = up[j]
+        depth += 1
+    return depth
 
 
-def _tree_histogram(order: list[int], up: list[int], hist: list[int]) -> None:
+def _tree_histogram(up: list[int], hist: list[int]) -> None:
     """Add the ordered-pair distance counts of one tree component to ``hist``.
 
-    The component comes as a :func:`_bfs` order with its ``up`` links, and
-    is folded from its last position to its first.  Each folded subtree
+    The component comes as the ``up`` links of a :func:`_bfs`, and is
+    folded from its last position to its first.  Each folded subtree
     keeps its depth profile reversed, last entry first level below its
     parent, so that lifting it one level is an ``append(1)``; see
     :func:`_merge_profiles` for the pairs that meet below a vertex.  Leaves
@@ -241,7 +238,7 @@ def _tree_histogram(order: list[int], up: list[int], hist: list[int]) -> None:
     their ends: a vertex at depth >= d has one ancestor d above it.  Leaves
     ``hist`` without trailing zeros.
     """
-    k = len(order)
+    k = len(up)
     # no distance reaches k, and hist[2] takes the leaves' pairs
     hist.extend([0] * (k + 1 - len(hist)))
     profile: list = [None] * k

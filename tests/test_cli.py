@@ -185,6 +185,15 @@ class TestCompute:
                 "Z exceeds the counting budget of 65536 mask words "
                 "on a component with a cycle and at least 4002 vertices",
             ),
+            # a long value in a family's message is echoed cut
+            (
+                ("--family", "hamming", "--sizes", f"1,{'9' * 100}", "--index", "MN"),
+                f"hamming factor sizes must be >= 2, got [1, {'9' * 26}... (105 characters)",
+            ),
+            (
+                ("--family", "hypercube", "--m", f"-{'9' * 100}", "--index", "MN"),
+                f"hypercube dimension must be >= 1, got -{'9' * 30}... (100 digits)",
+            ),
         ],
     )
     def test_library_data_errors_exit_2(self, capsys, argv, message):
@@ -564,6 +573,11 @@ class TestParseAlkane:
         assert code == 2 and "bonds" in err
 
 
+#: A flag value past the int-string limit, and its echo in an error message.
+_LONG = "1" * 5000
+_LONG_ECHO = f"'{'1' * 30}'... (5000 characters)"
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run(capsys, )[0] == 1
@@ -604,14 +618,50 @@ class TestUsage:
             # a range longer than any list is refused, not a traceback
             (("verify", "--formula", "EX_LADDER", "--n", f"1..{10 ** 20}"),
              f"argument --n: range '1..{10 ** 20}' is too long"),
+            # a value past the int-string limit is echoed cut, on every reader
+            (("compute", "--family", "path", "--n", _LONG, "--index", "MN"),
+             f"argument --n: invalid int value: {_LONG_ECHO}"),
+            (("verify", "--formula", "all", "--seed", _LONG),
+             f"argument --seed: invalid int value: {_LONG_ECHO}"),
+            (("verify", "--formula", "HAMMING", "--sizes", f"2,{_LONG}"),
+             f"argument --sizes: invalid int value: {_LONG_ECHO}"),
+            (("verify", "--formula", "EX_LADDER", "--n", f"1..{_LONG}"),
+             f"argument --n: invalid int value: {_LONG_ECHO}"),
+            # and so is every other long value a usage error quotes
+            (("verify", "--formula", "EX_LADDER", "--n", f"1..{'9' * 4000}"),
+             f"argument --n: range '1..{'9' * 27}'... (4003 characters) is too long"),
+            (("verify", "--formula", "EX_LADDER", "--n", f"1..-{'9' * 100}"),
+             f"argument --n: empty range '1..-{'9' * 26}'... (104 characters)"),
+            (("verify", "--formula", "HAMMING", "--sizes", "," * 100),
+             f"argument --sizes: no sizes in '{',' * 30}'... (100 characters)"),
+            (("verify", "--formula", "all", "--trials", f"-{'9' * 100}"),
+             f"argument --trials: must be >= 1, got -{'9' * 30}... (100 digits)"),
+            (("verify", "--formula", "x" * 100),
+             f"unknown formula '{'x' * 30}'... (100 characters); expected 'all' or one of "
+             f"{', '.join(cli.FORMULA_IDS)}"),
         ],
-        ids=["sizes", "sizes-float", "int", "range-end", "empty-range", "long-range"],
+        ids=["sizes", "sizes-float", "int", "range-end", "empty-range", "long-range",
+             "long-n", "long-seed", "long-sizes", "long-range-end", "long-range-too-long",
+             "long-empty-range", "long-no-sizes", "long-trials", "long-formula"],
     )
     def test_bad_value_names_itself(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.endswith(f"error: {message}\n")
         assert "_parse" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    def test_long_value_refused_with_the_limit_off(self, capsys):
+        # int() would read it, in time quadratic in its digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, err = run(capsys, "compute", "--family", "path", "--n", _LONG,
+                                 "--index", "MN")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: argument --n: invalid int value: {_LONG_ECHO}\n")
 
     @pytest.mark.parametrize(
         "argv, line",

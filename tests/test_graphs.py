@@ -514,9 +514,43 @@ class TestEdgeListFormat:
         assert _echo(10 ** digits - 1) == f"{'9' * 30}... ({digits} digits)"
         assert _echo(-(10 ** digits)) == f"-{head}... ({digits + 1} digits)"
 
+    @pytest.mark.parametrize("limit", [
+        None,
+        pytest.param(640, marks=pytest.mark.skipif(
+            not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")),
+    ])
+    @given(st.integers(1, 5000), st.booleans(), st.integers(0, 2 ** 32))
+    @example(61, False, 0)
+    @example(640, True, 1)
+    @example(5000, True, 2)
+    def test_echo_shows_head_and_length(self, limit, length, negative, seed):
+        rng = random.Random(seed)
+        digits = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=length - 1))
+        # read in chunks, which fit under any limit
+        value = 0
+        for i in range(0, length, 600):
+            chunk = digits[i:i + 600]
+            value = value * 10 ** len(chunk) + int(chunk)
+        sign = "-" if negative else ""
+        expected = sign + digits if length <= 60 else f"{sign}{digits[:30]}... ({length} digits)"
+        old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            shown = _echo(-value if negative else value)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(old)
+        assert shown == expected
+
     def test_echo_keeps_short_values_whole(self):
         assert _echo(10 ** 60 - 1) == "9" * 60 and _echo(-(10 ** 60) + 1) == "-" + "9" * 60
         assert _echo("x" * 60) == repr("x" * 60)
+
+    def test_echo_shows_a_list_by_its_str(self):
+        assert _echo([1, 2]) == "[1, 2]"
+        sizes = [1] + [10 ** 9] * 10
+        assert _echo(sizes) == f"[1, {'1' + '0' * 9}, {'1' + '0' * 9}, 10... (123 characters)"
 
     def test_field_of_4300_digits_read(self):
         with pytest.raises(EdgeListSyntaxError, match="^line 1: order 1{4300} exceeds vertex cap"):

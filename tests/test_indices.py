@@ -690,8 +690,8 @@ class TestHararyKernels:
     @example(_spider(3, 4))
     def test_tree_kernel_against_floyd_warshall(self, g):
         hist = [0]
-        for order, up in indices._components(g.adjacency)[1]:
-            indices._tree_histogram(order, up, hist)
+        for _, up in indices._components(g.adjacency)[1]:
+            indices._tree_histogram(up, hist)
         assert hist == indices._per_source_histogram(g) == self._fw_histogram(g)
         assert indices._distance_histogram(g) == hist
 
@@ -770,8 +770,11 @@ class TestTraversal:
 
     @staticmethod
     def _estimate(g):
+        # the depths that choose HARARY's kernel
         adj = g.adjacency
-        return indices._diameter_estimate(adj, *indices._components(adj))
+        mark, components = indices._components(adj)
+        return max(indices._depth(indices._second_sweep(adj, order, mark)[1])
+                   for order, _ in components)
 
 
 class TestComputeIndex:
