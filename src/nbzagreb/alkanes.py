@@ -142,7 +142,8 @@ def _build_tree(parent_len: int, groups) -> Graph:
                 n += 1
     # trusted: the chain pairs (i, i + 1), each branch's (attach, n) and an
     # ethyl's (n, n + 1) are distinct, since every branch adds new vertices,
-    # and satisfy u < v < order, since attach < parent_len <= n
+    # and satisfy u < v < order, since attach < parent_len <= n; each
+    # vertex's pairs come in increasing order, since n only grows
     graph = Graph._from_canonical(n, edges)
     degrees = graph.degrees()
     worst = max(range(n), key=degrees.__getitem__)

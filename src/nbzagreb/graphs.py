@@ -24,12 +24,21 @@ key as the int code ``min * order + max`` in a set; the codes are sorted
 (an int sort, much cheaper than a tuple sort on shuffled input) and turned
 back into sorted ``(u, v)`` pairs with ``divmod``.  One shared fill step
 then stores the pairs and counts the degrees.  The private
-``Graph._from_canonical(order, keys)`` sorts ``keys`` in place and runs
-the fill step alone.  Its contract: ``keys`` is a list of distinct pairs
-``(u, v)`` with ``0 <= u < v < order``, which the graph takes over.
-Nothing checks the contract; it is for builders whose output meets it by
-construction: the elementary families and ``random_graph`` here, the
-alkane trees and the products in :mod:`.products`.
+``Graph._from_canonical(order, keys)`` sorts ``keys`` in place by their
+first vertex alone and runs the fill step.  Its contract: ``keys`` is a
+list of distinct pairs ``(u, v)`` with ``0 <= u < v < order``, which the
+graph takes over, and the pairs of each first vertex ``u`` come in
+increasing order of ``v``, wherever they lie in the list.  The sort is
+stable, so it leaves each such run in its order and yields the canonical
+lexicographic order.  It compares one int per step where a tuple sort
+makes two rich comparisons, and took about half a tuple sort's time on
+the products' pairs.  Nothing checks the contract;
+it is for builders whose output meets it by construction: the elementary
+families and ``random_graph`` here, which emit their pairs in
+lexicographic order but for the cycle's closing pair ``(0, n - 1)``, the
+last of vertex 0's two; the alkane trees, whose every branch vertex is
+new and numbered above all before it; and the products in
+:mod:`.products`.
 
 Edge-list text is read in bulk first: the lines that are not blank or
 comments are joined, their separators become commas, and json's C scanner
@@ -65,6 +74,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable
 from itertools import chain, islice, repeat
+from operator import itemgetter
 
 #: Cap on graph order for the families, the products and parsed edge-list
 #: headers; wreath products blow up as |V2|^2 * |E1|.
@@ -142,17 +152,26 @@ def _echo(value) -> str:
     """``value``, a line of text (as its ``repr``), a number or a list (as
     its ``str``), as an error message shows it: whole up to ``_ECHO_LIMIT``
     characters or digits, else cut to its first half of that and its
-    length.  An int's digits come from :func:`_decimal`, at any length."""
+    length.  An int's digits, alone or in a list, come from
+    :func:`_decimal`, at any length."""
     if isinstance(value, int):
         if -10 ** _ECHO_LIMIT < value < 10 ** _ECHO_LIMIT:
             return str(value)
         digits = _decimal(abs(value))
         return f"{'-' if value < 0 else ''}{digits[:_ECHO_LIMIT // 2]}... ({len(digits)} digits)"
-    text = str(value)
+    text = f"[{', '.join(map(_listed, value))}]" if isinstance(value, list) else str(value)
     shown = repr if isinstance(value, str) else str
     if len(text) <= _ECHO_LIMIT:
         return shown(text)
     return f"{shown(text[:_ECHO_LIMIT // 2])}... ({len(text)} characters)"
+
+
+def _listed(item) -> str:
+    """``item`` as ``str`` of a list shows it, an int through :func:`_decimal`
+    where ``str`` could meet the int-string limit."""
+    if isinstance(item, int) and not -10 ** _DECIMAL_CHUNK < item < 10 ** _DECIMAL_CHUNK:
+        return f"{'-' if item < 0 else ''}{_decimal(abs(item))}"
+    return repr(item)
 
 
 def _csv_text(header, rows) -> str:
@@ -246,10 +265,12 @@ class Graph:
 
     @classmethod
     def _from_canonical(cls, order: int, keys: list[tuple[int, int]]) -> Graph:
-        """Trusted construction; see the module docstring for the contract."""
+        """Trusted construction of distinct pairs ``u < v < order``, each
+        first vertex's pairs in increasing order of ``v``; see the module
+        docstring for the contract and its builders."""
         graph = object.__new__(cls)
-        # timsort is linear on sorted input
-        keys.sort()
+        # stable, so each first vertex's pairs keep their increasing order
+        keys.sort(key=itemgetter(0))
         graph._fill(order, keys)
         return graph
 

@@ -16,7 +16,8 @@ product vertices.  Adjacency rules:
   of G1, or u1 == u2 and v1v2 is an edge of G2.  Not commutative.
 
 Every kind hands its pairs to the trusted ``Graph._from_canonical``, whose
-contract is distinct pairs ``(x, y)`` with ``0 <= x < y < n1*n2``.  With
+contract is distinct pairs ``(x, y)`` with ``0 <= x < y < n1*n2``, the
+pairs of each first vertex ``x`` in increasing order of ``y``.  With
 ``u1 < u2`` and ``v1 < v2`` the canonical factor edges, each kind meets it:
 
 * pairs inside one block ``u`` are ``(u*n2 + v1, u*n2 + v2)``, increasing
@@ -28,7 +29,14 @@ contract is distinct pairs ``(x, y)`` with ``0 <= x < y < n1*n2``.  With
   ``G2`` once, and the two orientations differ because ``v1 != v2``;
   wreath pairs ``(u1, a)-(u2, b)`` take each of the ``n2 * n2`` pairs
   ``(a, b)`` once per edge of ``G1``;
-* no pair is both inside one block and between two blocks.
+* no pair is both inside one block and between two blocks;
+* each kind emits a vertex's pairs inside its block, if any, before its
+  pairs between blocks, whose second vertices lie in later blocks.  Inside
+  a block they follow ``G2``'s edges, so ``v2`` increases.  Between blocks
+  they follow ``G1``'s edges, so ``u2`` increases, and in one block ``u2``
+  the second coordinate increases: the cartesian kind has one, the tensor
+  kind walks its arcs ``(a, b)`` sorted, and the wreath kind walks the
+  whole block in order.
 
 The cartesian product of any number of factors ``G1 .. Gk`` (orders
 ``n1 .. nk``) is built in one pass by :func:`cartesian_n`, and
@@ -49,7 +57,13 @@ the left fold of the binary encoding.  Factor ``i`` has *stride*
   the ids is cut.
 
 No intermediate product is built, and every pair is one of the binary
-fold's, so the n-ary builder meets the contract above as the fold does.
+fold's, so the pairs are distinct and increasing as the fold's are.  The
+factors are emitted by increasing stride, the last factor first.  A pair
+of the factor with stride ``s`` joins ``x`` to ``x + (b - a) * s``, at
+least ``s`` above ``x``, while every pair of a factor with a smaller stride
+stays inside ``x``'s aligned span of ``s`` ids; and one factor's pairs
+from ``x`` follow its edges ``ab`` with ``a`` fixed, ``b`` increasing.  So
+each vertex's pairs come in increasing order, as the contract asks.
 
 Before it builds any pair, each kind passes its factors' orders and sizes
 to ``_check_product``, the one copy of each kind's edge count; the n-ary
@@ -119,7 +133,8 @@ def tensor(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
     _check_product(_TENSOR, n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
-    arcs = [*G2.edges, *[(v2, v1) for v1, v2 in G2.edges]]
+    # sorted, so each vertex's pairs into one block come in increasing order
+    arcs = sorted([*G2.edges, *[(v2, v1) for v1, v2 in G2.edges]])
     edges = [
         (row1[a], row2[b])
         for row1, row2 in [(blocks[u1], blocks[u2]) for u1, u2 in G1.edges]
@@ -132,8 +147,9 @@ def wreath(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
     _check_product(_WREATH, n1, G1.size, n2, G2.size)
     blocks = _blocks(n1, n2)
-    edges = [(x, y) for u1, u2 in G1.edges for x in blocks[u1] for y in blocks[u2]]
-    edges += [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
+    # the pairs inside blocks first: each vertex's go below its pairs to later blocks
+    edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
+    edges += [(x, y) for u1, u2 in G1.edges for x in blocks[u1] for y in blocks[u2]]
     return Graph._from_canonical(n1 * n2, edges)
 
 

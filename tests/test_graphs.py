@@ -3,6 +3,8 @@ import pickle
 import random
 import re
 import sys
+from itertools import groupby
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -32,6 +34,7 @@ from nbzagreb import (
     serialize_edge_list,
     star_graph,
 )
+from nbzagreb import families, formulas
 from nbzagreb import graphs as graphs_module
 from nbzagreb.graphs import DEFAULT_VERTEX_CAP, SizeOverflowError, _echo
 
@@ -256,7 +259,10 @@ def _build(how, g, h):
     if how == "Graph":
         return Graph(g.order, [(v, u) for u, v in reversed(g.edges)])
     if how == "_from_canonical":
-        return Graph._from_canonical(g.order, list(reversed(g.edges)))
+        # the first vertices' runs in reverse, each run in its own order,
+        # which the trusted contract keeps increasing
+        runs = [list(run) for _, run in groupby(g.edges, key=itemgetter(0))]
+        return Graph._from_canonical(g.order, [pair for run in reversed(runs) for pair in run])
     if how == "parse_edge_list":
         return parse_edge_list(serialize_edge_list(g))
     if how == "_parse_lines":
@@ -551,6 +557,36 @@ class TestEdgeListFormat:
         assert _echo([1, 2]) == "[1, 2]"
         sizes = [1] + [10 ** 9] * 10
         assert _echo(sizes) == f"[1, {'1' + '0' * 9}, {'1' + '0' * 9}, 10... (123 characters)"
+
+    @pytest.mark.parametrize("call, message", [
+        (families.hamming, "hamming factor sizes must be >= 2, got "),
+        (formulas.mn_hamming, "hamming sizes must each be >= 2, got "),
+    ])
+    def test_echo_shows_a_list_past_the_int_string_limit(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call([1, 10 ** 5000])
+        assert str(exc.value) == f"{message}[1, {'1' + '0' * 25}... (5006 characters)"
+        assert len(str(exc.value)) < 200
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_echo_shows_a_list_as_str_without_the_limit(self, limit):
+        items = [-(10 ** 700) + 7, 10 ** 600, 10 ** 600 - 1, 5, "x", 2.5, True]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            shown = _echo(items)
+            # whole, so every item's text is compared
+            with mock.patch.object(graphs_module, "_ECHO_LIMIT", 10 ** 4):
+                whole = _echo(items)
+        finally:
+            sys.set_int_max_str_digits(0)
+        try:
+            text = str(items)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert whole == text
+        assert shown == f"{text[:30]}... ({len(text)} characters)"
 
     def test_field_of_4300_digits_read(self):
         with pytest.raises(EdgeListSyntaxError, match="^line 1: order 1{4300} exceeds vertex cap"):

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from itertools import permutations
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,8 @@ from nbzagreb import (
     first_zagreb,
     forgotten,
     neighbourhood_zagreb,
+    octane_isomers_all,
+    parse_alkane_name,
     path_graph,
     product,
     random_graph,
@@ -365,14 +368,85 @@ class TestTrustedConstruction:
 
     @given(graphs(), st.randoms(use_true_random=False))
     def test_from_canonical_on_shuffled_keys(self, g, rnd):
-        keys = list(g.edges)
-        rnd.shuffle(keys)
+        # whole first-vertex runs are shuffled, each kept in its increasing
+        # order, as the trusted contract asks
+        runs = [list(run) for _, run in itertools.groupby(g.edges, key=lambda e: e[0])]
+        rnd.shuffle(runs)
+        keys = list(itertools.chain.from_iterable(runs))
         trusted = Graph._from_canonical(g.order, list(keys))
         validated = Graph(g.order, keys)
         assert trusted.edges == validated.edges == g.edges
         assert trusted.adjacency == validated.adjacency
         assert trusted.degrees() == validated.degrees()
         assert trusted == validated and hash(trusted) == hash(validated)
+
+
+def _trusted_keys(build):
+    """Each ``(order, keys)`` that ``build()`` hands to ``Graph._from_canonical``,
+    the keys copied before the trusted build sorts them."""
+    calls = []
+    trusted = Graph._from_canonical
+
+    def record(order, keys):
+        calls.append((order, list(keys)))
+        return trusted(order, keys)
+
+    with mock.patch.object(Graph, "_from_canonical", record):
+        build()
+    return calls
+
+
+def _assert_contract(calls, count=1):
+    """There are ``count`` calls, and each meets the trusted contract: pairs
+    ``u < v < order``, each first vertex's pairs strictly increasing in
+    ``v``, hence distinct."""
+    assert len(calls) == count
+    for order, keys in calls:
+        last: dict[int, int] = {}
+        for u, v in keys:
+            assert 0 <= u < v < order, (u, v)
+            assert last.get(u, -1) < v, (u, last[u], v)
+            last[u] = v
+
+
+class TestTrustedBuilders:
+    """Every trusted builder emits each first vertex's pairs in increasing
+    order, which a stable sort on the first vertex alone makes canonical."""
+
+    @pytest.mark.parametrize("kind", list(ProductKind))
+    @given(graphs(max_order=6), graphs(max_order=6))
+    @example(empty_graph(1), complete_graph(4))
+    @example(complete_graph(4), empty_graph(1))
+    @example(empty_graph(3), cycle_graph(5))
+    @example(cycle_graph(5), empty_graph(3))
+    @example(complete_graph(6), complete_graph(6))
+    def test_products(self, kind, g1, g2):
+        _assert_contract(_trusted_keys(lambda: product(g1, g2, kind)))
+
+    @given(st.lists(graphs(max_order=4), min_size=1, max_size=4))
+    @example([complete_graph(4), path_graph(2), empty_graph(1)])
+    @example([complete_graph(2)] * 4)
+    @example([cycle_graph(4), empty_graph(1), complete_graph(3), path_graph(4)])
+    def test_cartesian_n(self, factors):
+        # one factor is returned as it is, with nothing built
+        calls = _trusted_keys(lambda: cartesian_n(factors))
+        _assert_contract(calls, count=int(len(factors) > 1))
+
+    @pytest.mark.parametrize("build, n", [
+        (build, n)
+        for build in (path_graph, cycle_graph, complete_graph, star_graph, empty_graph)
+        for n in range(3 if build is cycle_graph else 1, 13)
+    ])
+    def test_elementary_families(self, build, n):
+        _assert_contract(_trusted_keys(lambda: build(n)))
+
+    @given(st.integers(1, 12), st.floats(0, 1), st.integers(0, 2 ** 32))
+    def test_random_graph(self, order, p, seed):
+        _assert_contract(_trusted_keys(lambda: random_graph(order, p, seed)))
+
+    @pytest.mark.parametrize("name", [rec.name for rec in octane_isomers_all()])
+    def test_octane_trees(self, name):
+        _assert_contract(_trusted_keys(lambda: parse_alkane_name(name)))
 
 
 class TestCartesianN:
