@@ -37,7 +37,8 @@ Each budget's up-front rule, on order and size alone, is one function,
 ``_check_budget``; ``compute --family`` calls it on a member's planned
 order and size (:func:`nbzagreb.families.plan_family`) before building it.
 
-Z, SIGMA and HARARY share one traversal.  Each component is walked by one
+Z, SIGMA and HARARY share one traversal, which HARARY skips on a small
+graph with a cycle (below).  Each component is walked by one
 BFS from its lowest vertex.  Its *second sweep* is a BFS from the last
 vertex of that order, a vertex farthest from the first root: a double
 sweep, as in the transfer-matrix method on strips (Calkin and Wilf, SIAM
@@ -84,7 +85,9 @@ Three kernels fill the same exact histogram:
   within distance d of v.  Level d + 1 ORs each growing ball with its
   neighbours' balls into a copy of the list, and ``hist[d + 1]`` is the
   growth of the balls' summed bit counts.  A ball that stops growing is
-  its whole component, so its vertex leaves the loop.  Time about
+  its whole component, so its vertex leaves the loop.  An isolated vertex
+  has no pair at a finite distance, so the kernel leaves such vertices out
+  and runs on the others, relabelled 0..k-1.  Time about
   diameter * (order + size) big-int operations on order-bit ints, memory
   at most about 2 * order**2 / 8 bytes (about 12.5 MB at order 7071, the
   largest the budget admits).
@@ -97,19 +100,26 @@ Three kernels fill the same exact histogram:
   operation per vertex pair; memory O(k).  The second sweep starts at a
   peripheral vertex, so a path never branches.
 
-A forest, a graph with order - size components, takes the tree kernel.
-For any other graph the deepest second sweep over the components gives a
-diameter estimate L, at least half the largest component diameter.  The
-bitset kernel runs when L <= 1000, per-source BFS otherwise.  Bitsets
-take about L * (order + size) operations on order-bit ints and per-source
-BFS order * (order + size) steps on small ints, so the order all but
-cancels from their ratio, which grows with L: on cycles, ladders, prisms,
-nanotubes, fences and cycles with a long tail of up to 5000 vertices,
-this rule ran each within 1.25 times the faster kernel's time.
-:data:`HARARY_WORK_BUDGET` bounds
-order * (order + size), the per-source BFS steps, which is an upper bound
-for all three kernels; it is checked before the adjacency is read or any
-BFS runs.
+The kernel is decided in this order:
+
+1. A graph with a cycle (size >= order) and at most 1001 vertices takes
+   the bitset kernel at once, before any BFS: no BFS in it is deeper than
+   order - 1 <= 1000, so rule 3 would pick bitsets whatever the sweeps
+   found.
+2. A forest, a graph with order - size components, takes the tree kernel
+   from the second sweeps of its components.
+3. On any other graph the deepest second sweep over the components gives
+   a diameter estimate L, at least half the largest component diameter.
+   The bitset kernel runs when L <= 1000, per-source BFS otherwise.
+
+Bitsets take about L * (order + size) operations on order-bit ints and
+per-source BFS order * (order + size) steps on small ints, so the order
+all but cancels from their ratio, which grows with L: on cycles, ladders,
+prisms, nanotubes, fences and cycles with a long tail of up to 5000
+vertices, rule 3 ran each within 1.25 times the faster kernel's time.
+:data:`HARARY_WORK_BUDGET` bounds order * (order + size), the per-source
+BFS steps, which is an upper bound for all three kernels; it is checked
+before the adjacency is read or any BFS runs.
 """
 
 from __future__ import annotations
@@ -133,6 +143,10 @@ COUNTING_STATE_BUDGET = 1 << 16
 #: Budget of HARARY in per-source BFS steps, order * (order + size): an
 #: upper bound for all three kernels (see the module docstring).
 HARARY_WORK_BUDGET = 5 * 10 ** 7
+
+#: Deepest diameter estimate L at which HARARY takes the bitset kernel (see
+#: the module docstring).
+_BITSET_DEPTH = 1000
 
 
 class TooLargeError(ValueError):
@@ -177,11 +191,12 @@ def randic(G: Graph) -> float:
 def harary(G: Graph) -> Fraction:
     """Sum of reciprocal distances over unordered reachable pairs, exact.
 
-    The distance histogram comes from the tree kernel on a forest; on any
-    other graph, from the bitset kernel when a double-sweep diameter
-    estimate L is at most 1000, and from one BFS per source otherwise
-    (see the module docstring).  Over :data:`HARARY_WORK_BUDGET` per-source
-    BFS steps, an upper bound for all three kernels, it raises
+    The distance histogram comes from the bitset kernel at once on a graph
+    with a cycle and at most 1001 vertices, and from the tree kernel on a
+    forest; on any other graph, from the bitset kernel when a double-sweep
+    diameter estimate L is at most 1000, and from one BFS per source
+    otherwise (see the module docstring).  Over :data:`HARARY_WORK_BUDGET`
+    per-source BFS steps, an upper bound for all three kernels, it raises
     :class:`TooLargeError` before any BFS runs.
     """
     _check_budget("HARARY", G.order, G.size)
@@ -195,10 +210,16 @@ def harary(G: Graph) -> Fraction:
 def _distance_histogram(G: Graph) -> list[int]:
     """``hist[d]``: ordered vertex pairs at distance d >= 1; ``hist[0]`` is 0.
 
-    A forest goes through the tree kernel, component by component; any
-    other graph takes the bitset kernel or per-source BFS by its diameter
-    estimate.  See the module docstring.
+    A graph with a cycle and at most 1001 vertices takes the bitset kernel
+    before any BFS; a forest goes through the tree kernel, component by
+    component; any other graph takes the bitset kernel or per-source BFS
+    by its diameter estimate.  See the module docstring.
     """
+    # a graph with a cycle is no forest, and no BFS in it is deeper than
+    # order - 1: at order - 1 <= _BITSET_DEPTH the depth rule below would
+    # pick bitsets whatever the sweeps found
+    if G.size >= G.order and G.order <= _BITSET_DEPTH + 1:
+        return _bitset_histogram(G)
     adj = G.adjacency
     mark, components = _components(adj)
     ups = [_second_sweep(adj, order, mark)[1] for order, _ in components]
@@ -210,7 +231,7 @@ def _distance_histogram(G: Graph) -> list[int]:
         return hist
     # past a depth of about 1000 the bitsets' levels cost more than the
     # sources they share, at any order (see the module docstring)
-    if max(map(_depth, ups)) <= 1000:
+    if max(map(_depth, ups)) <= _BITSET_DEPTH:
         return _bitset_histogram(G)
     return _per_source_histogram(G)
 
@@ -328,18 +349,26 @@ def _bitset_histogram(G: Graph) -> list[int]:
     and none farther, and is its whole component from then on.
     """
     adj = G.adjacency
-    ball = [1 << v for v in range(G.order)]
-    active = range(G.order)
+    degrees = G.degrees()
+    if 0 in degrees:
+        # an isolated vertex is at no finite distance >= 1 from any vertex:
+        # run on the others only, relabelled 0..k-1
+        kept = [v for v, d in enumerate(degrees) if d]
+        label = {v: i for i, v in enumerate(kept)}
+        adj = [[label[u] for u in adj[v]] for v in kept]
+    k = len(adj)
+    ball = [1 << v for v in range(k)]
+    active = range(k)
     hist = [0]
-    total = G.order
+    total = k
     while True:
         grown = ball[:]
         still = []
         for v in active:
-            b = ball[v]
+            b = old = ball[v]
             for u in adj[v]:
                 b |= ball[u]
-            if b != ball[v]:
+            if b != old:
                 grown[v] = b
                 still.append(v)
         if not still:

@@ -574,6 +574,38 @@ def _tadpole(n):
     return Graph(n, [(0, 1), (0, 2), (1, 2)] + [(v, v + 1) for v in range(2, n - 1)])
 
 
+def _path_pairs(n):
+    """Ordered pairs of P_n per distance, with h[0] = n."""
+    return [n] + [2 * (n - d) for d in range(1, n)]
+
+
+def _cycle_pairs(n):
+    """Ordered pairs of C_n per distance, with h[0] = n."""
+    return [n] + [2 * n] * ((n - 1) // 2) + [n] * (n % 2 == 0)
+
+
+def _convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _count_sweeps(monkeypatch):
+    """Wrap ``indices._second_sweep``; the list it returns gets each
+    sweep's component root."""
+    calls = []
+    second_sweep = indices._second_sweep
+
+    def sweep(adj, order, mark):
+        calls.append(order[0])
+        return second_sweep(adj, order, mark)
+
+    monkeypatch.setattr(indices, "_second_sweep", sweep)
+    return calls
+
+
 def _refuse_kernel(monkeypatch, name):
     def never(G):
         raise AssertionError(f"{name} ran")
@@ -583,8 +615,9 @@ def _refuse_kernel(monkeypatch, name):
 
 class TestHararyKernels:
     """The tree kernel, the bitset kernel and per-source BFS fill the same
-    histogram.  A forest takes the tree kernel; on any other graph the
-    double-sweep diameter estimate L picks bitsets iff L <= 1000."""
+    histogram.  A graph with a cycle and at most 1001 vertices takes
+    bitsets before any BFS; a forest takes the tree kernel; on any other
+    graph the double-sweep diameter estimate L picks bitsets iff L <= 1000."""
 
     @staticmethod
     def _fw_histogram(g):
@@ -603,6 +636,10 @@ class TestHararyKernels:
     @example(Graph(14, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), *((v, v + 1) for v in range(4, 13))]))
     # C_4 is done after two levels, the path beside it after seven
     @example(Graph(12, [(0, 1), (1, 2), (2, 3), (0, 3), *((v, v + 1) for v in range(4, 11))]))
+    # isolated vertices below and above a cycle: the bitset kernel leaves
+    # them out and relabels the cycle
+    @example(Graph(51, [(30, 50), *((v, v + 1) for v in range(30, 50))]))
+    @example(Graph(51, [(0, 20), *((v, v + 1) for v in range(20))]))
     def test_kernels_agree_with_floyd_warshall(self, g):
         hist = indices._bitset_histogram(g)
         assert hist == indices._per_source_histogram(g) == self._fw_histogram(g)
@@ -681,6 +718,64 @@ class TestHararyKernels:
         _refuse_kernel(monkeypatch, "_bitset_histogram")
         _refuse_kernel(monkeypatch, "_per_source_histogram")
         assert indices._distance_histogram(g) == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(families.grid(16, 20), id="grid16x20"),
+            pytest.param(families.hypercube(7), id="Q7"),
+            pytest.param(complete_graph(20), id="K20"),
+            pytest.param(_random_connected(320, 3), id="connected320"),
+            # at the order bound: diameter 999, and 1001 vertices
+            pytest.param(_tadpole(1001), id="tadpole1001"),
+        ],
+    )
+    def test_cyclic_graphs_take_bitsets_without_sweeps(self, monkeypatch, g):
+        # no BFS in a graph of order <= 1001 is deeper than 1000
+        expected = indices._per_source_histogram(g)
+        for name in ("_per_source_histogram", "_components", "_second_sweep"):
+            _refuse_kernel(monkeypatch, name)
+        assert indices._distance_histogram(g) == expected
+
+    def test_one_past_the_order_bound_sweeps_first(self, monkeypatch):
+        # order 1002 admits a BFS 1001 deep, so the depth rule decides; this
+        # tadpole's second sweep is 1000 deep, at the rule
+        g = _tadpole(1002)
+        expected = indices._per_source_histogram(g)
+        _refuse_kernel(monkeypatch, "_per_source_histogram")
+        sweeps = _count_sweeps(monkeypatch)
+        assert indices._distance_histogram(g) == expected
+        assert sweeps == [0]
+
+    @pytest.mark.parametrize(
+        "family, params, factors",
+        [
+            pytest.param(families.grid, [(m, n) for m in range(1, 13) for n in range(1, 13)],
+                         lambda m, n: (_path_pairs(m), _path_pairs(n)), id="grid"),
+            pytest.param(families.nanotorus, [(m, n) for m in range(3, 11) for n in range(3, 11)],
+                         lambda m, n: (_cycle_pairs(m), _cycle_pairs(n)), id="nanotorus"),
+            pytest.param(families.nanotube, [(m, n) for m in range(3, 9) for n in range(1, 9)],
+                         lambda m, n: (_path_pairs(n), _cycle_pairs(m)), id="nanotube"),
+            pytest.param(families.ladder, [(n,) for n in range(40)],
+                         lambda n: (_path_pairs(2), _path_pairs(n + 1)), id="ladder"),
+            pytest.param(families.prism, [(n,) for n in range(3, 40)],
+                         lambda n: (_path_pairs(2), _cycle_pairs(n)), id="prism"),
+        ],
+    )
+    def test_cartesian_families_against_factor_convolution(self, monkeypatch, family,
+                                                           params, factors):
+        # in a cartesian product d = d1 + d2 (Hammack, Imrich and Klavzar,
+        # Handbook of Product Graphs, ch. 5): its ordered pairs per distance
+        # are the convolution of its factors', no BFS needed
+        sweeps = _count_sweeps(monkeypatch)
+        for args in params:
+            expected = _convolution(*factors(*args))
+            expected[0] = 0
+            g = family(*args)
+            sweeps.clear()
+            assert indices._distance_histogram(g) == expected, args
+            # the cyclic members, all of order <= 1001, sweep nothing
+            assert (sweeps == []) == (g.size >= g.order), args
 
     @given(forests())
     @example(empty_graph(1))
