@@ -8,8 +8,9 @@ closed forms get checked against.
 A family's recipe maps its parameters to ``(kind, (builder, n), ...)``: a
 product kind and its factors, or ``None`` and one elementary graph.
 :func:`_plan` checks the order against the vertex cap, sizes each factor
-by its builder's size function and folds the products' size rule: it
-raises what building in order would raise first, and builds nothing.  The
+by its builder's size function and folds the size rule of the kind's
+record in :mod:`nbzagreb.products`, whose ``build`` then makes the member:
+the plan raises what building would raise first, and builds nothing.  The
 one registry, :data:`FAMILIES` (``name -> (parameter names, recipe)``),
 serves the named builders, :func:`build_family` and :func:`plan_family`.
 """
@@ -20,7 +21,7 @@ from collections.abc import Callable, Sequence
 from math import prod
 
 from .graphs import _SIZES, Graph, _check_cap, _echo, complete_graph, cycle_graph, path_graph
-from .products import _CARTESIAN, _CONSTRUCTORS, _WREATH, ProductKind, _check_product, cartesian_n
+from .products import _CARTESIAN, _KINDS, _WREATH, ProductKind, _check_product
 
 
 def _check_order(*factor_orders: int) -> None:
@@ -44,21 +45,14 @@ def _plan(kind: ProductKind | None, *factors: tuple[Callable, int]) -> tuple[int
         _check_cap("order", factors[0][1])
     else:
         _check_order(*[n for _, n in factors])
-    sizes = [_SIZES[build.__name__](n) for build, n in factors]
-    order, size = factors[0][1], sizes[0]
-    for (_, n), m in zip(factors[1:], sizes[1:]):
-        order, size = _check_product(kind, order, size, n, m)
-    return order, size
+    return _check_product(kind, [(n, _SIZES[build.__name__](n)) for build, n in factors])
 
 
 def _product(kind: ProductKind | None, *factors: tuple[Callable, int]) -> Graph:
-    """The member that :func:`_plan` admits: every factor built, then the
-    product, in one pass for any number of cartesian factors."""
+    """The member that :func:`_plan` admits: its factors, then its kind's build."""
     _plan(kind, *factors)
     graphs = [build(n) for build, n in factors]
-    if kind is None:
-        return graphs[0]
-    return cartesian_n(graphs) if kind is _CARTESIAN else _CONSTRUCTORS[kind](*graphs)
+    return graphs[0] if kind is None else _KINDS[kind].build(graphs)
 
 
 def _build(name: str, *params) -> Graph:

@@ -15,7 +15,8 @@ the seeded factor sampler (the random-trial rules PROP1 to
 PROP4_PRINTED).  A new formula is a new record, not a new code path.
 The family and tensor-line oracles build through the one product plan of
 :mod:`nbzagreb.families`, which works out a point's order and size by the
-one size rule of :mod:`nbzagreb.products` before it builds any factor.
+size rule of the product kind's record in :mod:`nbzagreb.products` before
+it builds any factor.
 
 Multi-index sums written over ``i != j``, ``i != j != k`` etc. are sums
 over ordered tuples of *pairwise distinct* indices, evaluated literally

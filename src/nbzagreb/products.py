@@ -65,23 +65,22 @@ stays inside ``x``'s aligned span of ``s`` ids; and one factor's pairs
 from ``x`` follow its edges ``ab`` with ``a`` fixed, ``b`` increasing.  So
 each vertex's pairs come in increasing order, as the contract asks.
 
-Before it builds any pair, each kind passes its factors' orders and sizes
-to ``_check_product``, the one copy of each kind's edge count; the n-ary
-builder folds it over its factors.  It refuses an order over
+Each kind is one frozen record in ``_KINDS``: its edge count ``size``,
+its builder ``build`` and its per-vertex law ``law`` for the
+neighbour-degree sum, on factor data alone (:func:`delta_law_check`
+verifies it).  ``_check_product`` folds a kind's ``size`` over factors'
+orders and sizes, refusing at each step, order first, an order over
 :data:`~nbzagreb.graphs.DEFAULT_VERTEX_CAP` or a size over
-:data:`~nbzagreb.graphs.DEFAULT_EDGE_CAP` with :class:`SizeOverflowError`,
-order first.  The plan of :mod:`nbzagreb.families` folds it over sizes
-worked out from a family's parameters, before any factor is built.
-
-Each product kind obeys a per-vertex law for the neighbour-degree sum of
-the constructed graph, ``_DELTA_LAWS[kind]``, stated on factor data alone;
-:func:`delta_law_check` verifies it exhaustively.
+:data:`~nbzagreb.graphs.DEFAULT_EDGE_CAP` with :class:`SizeOverflowError`.
+Each builder runs it before it builds any pair, and the plan of
+:mod:`nbzagreb.families` before it builds any factor.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from itertools import chain
 
 # SizeOverflowError is re-exported: products.SizeOverflowError is the same class
@@ -99,18 +98,15 @@ class ProductKind(enum.Enum):
 _CARTESIAN, _TENSOR, _WREATH = ProductKind.CARTESIAN, ProductKind.TENSOR, ProductKind.WREATH
 
 
-def _check_product(kind: ProductKind, n1: int, m1: int, n2: int, m2: int) -> tuple[int, int]:
-    """Refuse the ``kind`` product of factors of orders n1, n2 and sizes m1, m2
-    as building it would; return its order and size."""
-    if kind is _CARTESIAN:
-        size = n1 * m2 + n2 * m1
-    elif kind is _TENSOR:
-        size = 2 * m1 * m2
-    else:
-        size = m1 * n2 * n2 + n1 * m2
-    _check_cap("product order", n1 * n2)
-    _check_cap("product size", size, edges=True)
-    return n1 * n2, size
+def _check_product(kind: ProductKind | None, dims: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Order and size of the ``kind`` product of factors with these ``(order,
+    size)`` pairs, refused as building would; a lone factor may pass None."""
+    order, size = dims[0]
+    for n, m in dims[1:]:
+        order, size = order * n, _KINDS[kind].size(order, size, n, m)
+        _check_cap("product order", order)
+        _check_cap("product size", size, edges=True)
+    return order, size
 
 
 def _blocks(n1: int, n2: int) -> list[tuple[int, ...]]:
@@ -131,7 +127,7 @@ def cartesian(G1: Graph, G2: Graph) -> Graph:
 
 def tensor(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_product(_TENSOR, n1, G1.size, n2, G2.size)
+    _check_product(_TENSOR, ((n1, G1.size), (n2, G2.size)))
     blocks = _blocks(n1, n2)
     # sorted, so each vertex's pairs into one block come in increasing order
     arcs = sorted([*G2.edges, *[(v2, v1) for v1, v2 in G2.edges]])
@@ -145,7 +141,7 @@ def tensor(G1: Graph, G2: Graph) -> Graph:
 
 def wreath(G1: Graph, G2: Graph) -> Graph:
     n1, n2 = G1.order, G2.order
-    _check_product(_WREATH, n1, G1.size, n2, G2.size)
+    _check_product(_WREATH, ((n1, G1.size), (n2, G2.size)))
     blocks = _blocks(n1, n2)
     # the pairs inside blocks first: each vertex's go below its pairs to later blocks
     edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G2.edges]
@@ -153,16 +149,9 @@ def wreath(G1: Graph, G2: Graph) -> Graph:
     return Graph._from_canonical(n1 * n2, edges)
 
 
-_CONSTRUCTORS = {
-    ProductKind.CARTESIAN: cartesian,
-    ProductKind.TENSOR: tensor,
-    ProductKind.WREATH: wreath,
-}
-
-
 def product(G1: Graph, G2: Graph, kind: ProductKind) -> Graph:
     """Construct the product of the given kind (argument order preserved)."""
-    return _CONSTRUCTORS[kind](G1, G2)
+    return _KINDS[kind].build((G1, G2))
 
 
 def cartesian_n(graphs: Iterable[Graph]) -> Graph:
@@ -175,9 +164,7 @@ def cartesian_n(graphs: Iterable[Graph]) -> Graph:
     graphs = tuple(graphs)
     if not graphs:
         raise ValueError("cartesian_n needs at least one factor")
-    order, size = graphs[0].order, graphs[0].size
-    for G in graphs[1:]:
-        order, size = _check_product(_CARTESIAN, order, size, G.order, G.size)
+    order, _ = _check_product(_CARTESIAN, [(G.order, G.size) for G in graphs])
     *firsts, last = graphs
     if not firsts:
         return last
@@ -207,16 +194,36 @@ def cartesian_n(graphs: Iterable[Graph]) -> Graph:
     return Graph._from_canonical(order, edges)
 
 
-# ---------------------------------------------------------------------------
-# Per-vertex neighbour-degree-sum laws on factor data: the sum of product
-# vertex (u, v) from u's sum s1 and degree d1 in G1, v's s2 and d2 in G2,
-# and G2's order n2 and size e2.
+@dataclass(frozen=True)
+class _Kind:
+    """The rules of one product kind, on factors G1, G2 of orders n1, n2."""
 
-_DELTA_LAWS = {
-    ProductKind.CARTESIAN: lambda s1, d1, s2, d2, n2, e2: s1 + s2 + 2 * d1 * d2,
-    ProductKind.TENSOR: lambda s1, d1, s2, d2, n2, e2: s1 * s2,
-    ProductKind.WREATH: lambda s1, d1, s2, d2, n2, e2: (
-        n2 * n2 * s1 + s2 + 2 * e2 * d1 + n2 * d1 * d2
+    # the product's edge count from n1, n2 and the factors' sizes m1, m2
+    size: Callable[[int, int, int, int], int]
+    # the product of a sequence of factors: two, or any number if cartesian
+    build: Callable[[Sequence[Graph]], Graph]
+    # the neighbour-degree sum of product vertex (u, v) from u's sum s1 and
+    # degree d1 in G1, v's s2 and d2 in G2, and G2's order n2 and size e2
+    law: Callable[[int, int, int, int, int, int], int]
+
+
+# Builders are looked up by name when a record builds, so wrappers installed
+# on this module (perfbench's tracer) see the calls.
+_KINDS = {
+    _CARTESIAN: _Kind(
+        size=lambda n1, m1, n2, m2: n1 * m2 + n2 * m1,
+        build=lambda graphs: cartesian_n(graphs),
+        law=lambda s1, d1, s2, d2, n2, e2: s1 + s2 + 2 * d1 * d2,
+    ),
+    _TENSOR: _Kind(
+        size=lambda n1, m1, n2, m2: 2 * m1 * m2,
+        build=lambda graphs: tensor(*graphs),
+        law=lambda s1, d1, s2, d2, n2, e2: s1 * s2,
+    ),
+    _WREATH: _Kind(
+        size=lambda n1, m1, n2, m2: m1 * n2 * n2 + n1 * m2,
+        build=lambda graphs: wreath(*graphs),
+        law=lambda s1, d1, s2, d2, n2, e2: n2 * n2 * s1 + s2 + 2 * e2 * d1 + n2 * d1 * d2,
     ),
 }
 
@@ -228,7 +235,7 @@ def delta_law_check(G1: Graph, G2: Graph, kind: ProductKind) -> bool:
     is evaluated, then compares its neighbour-degree sums in encoding order
     with the law on each factor's degrees and neighbour-degree sums.
     """
-    law = _DELTA_LAWS[kind]
+    law = _KINDS[kind].law
     P = product(G1, G2, kind)
     n2, e2 = G2.order, G2.size
     right = list(zip(G2.neighbor_degree_sums(), G2.degrees()))

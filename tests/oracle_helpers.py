@@ -118,3 +118,31 @@ def pearson_oracle(xs, ys):
     sx = math.sqrt(sum((x - mx) ** 2 for x in xs))
     sy = math.sqrt(sum((y - my) ** 2 for y in ys))
     return cov / (sx * sy)
+
+
+def small_graphs(max_order):
+    """One ``(order, edges)`` per isomorphism class of graphs of order 1 to
+    ``max_order``, by increasing order.
+
+    Every graph of order n + 1 is one of order n with a new vertex joined
+    to some subset of the others, so each order is grown from the classes
+    of the one below with every neighbourhood of the new vertex.  A class
+    is kept as its canonical form: the least sorted edge tuple over all
+    relabellings of its vertices.  There are 1, 2, 4, 11, 34, 156 classes
+    of order 1 to 6 (OEIS A000088).
+    """
+    level = {()}
+    for order in range(1, max_order + 1):
+        yield from ((order, edges) for edges in sorted(level))
+        if order == max_order:
+            break
+        grown = {
+            edges + tuple((v, order) for v in range(order) if subset >> v & 1)
+            for edges in level
+            for subset in range(1 << order)
+        }
+        perms = list(itertools.permutations(range(order + 1)))
+        level = {
+            min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges)) for p in perms)
+            for edges in grown
+        }

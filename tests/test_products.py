@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -44,7 +46,7 @@ from nbzagreb import (
 from nbzagreb import build_family, families, parse_edge_list, products, verify
 from nbzagreb.formulas import CATALOG
 
-from oracle_helpers import mn_oracle
+from oracle_helpers import mn_oracle, small_graphs
 
 from test_graphs import graphs
 
@@ -592,8 +594,76 @@ class TestDeltaLaws:
     def test_wrong_law_fails(self, monkeypatch, kind, wrong):
         g1, g2 = path_graph(3), cycle_graph(4)
         assert delta_law_check(g1, g2, kind)
-        monkeypatch.setitem(nbzagreb.products._DELTA_LAWS, kind, wrong)
+        record = dataclasses.replace(products._KINDS[kind], law=wrong)
+        monkeypatch.setitem(products._KINDS, kind, record)
         assert not delta_law_check(g1, g2, kind)
+
+
+def _corpus(max_order):
+    return [Graph(order, edges) for order, edges in small_graphs(max_order)]
+
+
+def check_product_corpus(max_order):
+    """Check every kind's size rule and vertex law on every ordered pair of
+    graphs of order 1 to ``max_order``, one per isomorphism class; return
+    the number of pairs.  Tier-1 runs it at order 5 and CI at order 6."""
+    pairs = list(itertools.product(_corpus(max_order), repeat=2))
+    for kind in ProductKind:
+        for g1, g2 in pairs:
+            built = product(g1, g2, kind)
+            dims = [(g1.order, g1.size), (g2.order, g2.size)]
+            assert products._check_product(kind, dims) == (built.order, built.size), \
+                (kind, g1, g2)
+            assert delta_law_check(g1, g2, kind), (kind, g1, g2)
+    return len(pairs)
+
+
+class TestSmallGraphCorpus:
+    """Each product kind's record against every small graph, up to isomorphism."""
+
+    def test_class_counts(self):
+        counts = collections.Counter(order for order, _ in small_graphs(5))
+        assert [counts[order] for order in range(1, 6)] == [1, 2, 4, 11, 34]
+
+    def test_size_rules_and_laws(self):
+        assert check_product_corpus(5) == 2704
+
+    @pytest.mark.parametrize("kind", list(ProductKind))
+    def test_builders_match_definition(self, kind):
+        pairs = list(itertools.product(_corpus(4), repeat=2))
+        assert len(pairs) == 324
+        for g1, g2 in pairs:
+            assert product(g1, g2, kind) == _by_definition(g1, g2, kind), (g1, g2)
+
+    def test_cartesian_n_on_triples(self):
+        triples = list(itertools.product(_corpus(3), repeat=3))
+        assert len(triples) == 343
+        for triple in triples:
+            built = cartesian_n(triple)
+            assert built == functools.reduce(cartesian, triple), triple
+            dims = [(g.order, g.size) for g in triple]
+            folded = products._check_product(ProductKind.CARTESIAN, dims)
+            assert folded == (built.order, built.size), triple
+
+    @pytest.mark.parametrize(
+        "kind, wrong",
+        [
+            # each changes one term that is nonzero on P3 and C4
+            (ProductKind.CARTESIAN, lambda n1, m1, n2, m2: n1 * m2 + m1),
+            (ProductKind.TENSOR, lambda n1, m1, n2, m2: m1 * m2),
+            (ProductKind.WREATH, lambda n1, m1, n2, m2: m1 * n2 + n1 * m2),
+        ],
+    )
+    def test_wrong_size_rule_fails(self, monkeypatch, kind, wrong):
+        factors = (path_graph, 3), (cycle_graph, 4)
+        built = families._product(kind, *factors)
+        assert families._plan(kind, *factors) == (built.order, built.size)
+        record = dataclasses.replace(products._KINDS[kind], size=wrong)
+        monkeypatch.setitem(products._KINDS, kind, record)
+        with pytest.raises(AssertionError):
+            check_product_corpus(3)
+        built = families._product(kind, *factors)
+        assert families._plan(kind, *factors) != (built.order, built.size)
 
 
 class TestNaryZagrebLaws:
