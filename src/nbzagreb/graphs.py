@@ -43,14 +43,19 @@ new and numbered above all before it; and the products in
 Edge-list text is read in bulk first: the lines that are not blank or
 comments are joined, their separators become commas, and json's C scanner
 reads the fields as one JSON array of ints, with no string made per line
-or per field; the lines are freed before the graph is built.  JSON
-integers have no leading zero, so a zero-padded field (``007``) sends the
-text to the line loop, which reads the same graph, only more slowly.  A
-text with anything else (a data line that is not two runs of ASCII digits
-and ``-`` split by one space, a run past the digit limit of
-``_int_reader``, a bad header or a wrong edge count) is read again by the
-line loop too, which is the only reader that reports syntax errors, with
-their line numbers.  With the int-string limit off, that digit limit is
+or per field; the lines are freed before the graph is built.  The bulk
+read keeps every row before the first one it cannot read, and the line
+loop starts there, with the header and the edges read so far; the line
+loop is the only reader that reports syntax errors, with their line
+numbers.  The bulk read cannot read a row that is not two runs of ASCII
+digits and ``-`` split by one space or one tab, nor a zero-padded run
+(``007``), since JSON integers have no leading zero; the line loop reads
+such a run as the same value, only more slowly.  The bulk read also stops
+after the header's count of edge rows, so a wrong count reaches the line
+loop at the row past it or at the text's end.  It keeps nothing when the
+header is bad, or when a run is past the digit limit of ``_int_reader``,
+which json refuses at no known row; the line loop then reads from line 1.
+With the int-string limit off, that digit limit is
 the default one, 4300 digits, since ``int()`` takes time quadratic in the
 digits it reads.  Both readers give the same graph, or the same error, for
 every text.  The serializer writes the whole text but its header with one
@@ -456,59 +461,108 @@ def parse_edge_list(text: str) -> Graph:
     A header order above :data:`DEFAULT_VERTEX_CAP` is rejected on the
     header line, before anything of that size is allocated.
     """
-    nums = _bulk_fields(text)
-    if nums is not None and 1 <= nums[0] <= DEFAULT_VERTEX_CAP and nums[1] == len(nums) // 2 - 1:
-        fields = islice(nums, 2, None)
-        return Graph(nums[0], zip(fields, fields))
-    return _parse_lines(text)
+    nums, start = _bulk_fields(text)
+    fields = islice(nums, 2, None)
+    if start:
+        header = (nums[0], nums[1]) if nums else None
+        return _parse_lines(text, start, header, list(zip(fields, fields)))
+    return Graph(nums[0], zip(fields, fields))
 
 
-#: Deletes the characters a bulk-read field may hold, leaving the separators.
-_FIELD_CHARS = str.maketrans("", "", "-0123456789")
+#: Deletes the characters a bulk-read field may hold and turns a tab into a
+#: space, leaving the separators.
+_FIELD_CHARS = str.maketrans("\t", " ", "-0123456789")
 
 #: Turns the bulk-read separators into JSON array commas.
-_COMMAS = str.maketrans(" \n", ",,")
+_COMMAS = str.maketrans(" \t\n", ",,,")
 
 
-def _bulk_fields(text: str) -> list[int] | None:
-    """Every field of the lines that are not blank or comments, as ints; or
-    ``None`` unless each such line is two runs of ASCII digits and ``-``
-    split by one space, each run a JSON integer that the
-    :func:`_int_reader` reader reads.
+def _bulk_fields(text: str) -> tuple[list[int], int]:
+    """The fields of the rows read here, as ints, and the number of the line
+    where the line loop takes over, 0 when the text needs no line loop.
+
+    A row is a line that is not blank or a comment.  The bulk read keeps
+    every row before the first that is not two runs of ASCII digits and
+    ``-`` split by one space or one tab, each run a JSON integer that the
+    :func:`_int_reader` reader reads, and no edge row past the header's
+    count.  The line loop takes over at the next row, or past the last line
+    when every row was read and the count is wrong.  No row is kept, and
+    the line loop reads from line 1, when the header is not read or is bad,
+    or when a run is past the reader's digit limit, which json refuses at
+    no position.
 
     The runs are read as one JSON array by json's C scanner.  JSON's
     integers, ``-?(0|[1-9][0-9]*)``, are the field grammar's without a
-    leading zero, so a zero-padded run (``007``, ``-01``) returns ``None``
-    and the line loop reads the text.  On the lines read here this reader
-    and the line loop read the same values.  Its lines are freed on
+    leading zero, so the bulk read stops at a zero-padded run (``007``,
+    ``-01``) and the line loop reads it.  On the lines read here this
+    reader and the line loop read the same values.  Its lines are freed on
     return, before the graph is built.
     """
-    rows = [line for line in text.splitlines()
-            if line and line[0] != "#" and not line.isspace()]
+    lines = text.splitlines()
+    rows = [line for line in lines if line and line[0] != "#" and not line.isspace()]
     data = "\n".join(rows)
-    # one space per row and nothing else besides digits and "-"; an empty
-    # run becomes ",,", a leading "," or a trailing ",", which json refuses
-    if data.translate(_FIELD_CHARS) != " \n" * (len(rows) - 1) + " ":
-        return None
+    # one space or tab per row and nothing else besides digits and "-"; an
+    # empty run becomes ",,", a leading "," or a trailing ",", which json refuses
+    whole = data.translate(_FIELD_CHARS) == " \n" * (len(rows) - 1) + " "
+    if not whole:
+        # keep the rows before the first whose separator is not one space or tab
+        data = "\n".join(rows[:re.match("(?: \n)*", data.translate(_FIELD_CHARS)).end() // 2])
     read, _ = _int_reader()
+    doc = "[" + data.translate(_COMMAS) + "]"
     try:
         # the scanner calls back into Python only where read is not int
-        return json.loads("[" + data.translate(_COMMAS) + "]", parse_int=read)
+        nums = json.loads(doc, parse_int=read)
+    except json.JSONDecodeError as exc:
+        # the scanner reads left to right, so it read every row before the
+        # one that holds the error: the row of the field after its commas
+        data = "\n".join(rows[:doc.count(",", 0, exc.pos) // 2])
+        nums = json.loads("[" + data.translate(_COMMAS) + "]", parse_int=read)
+        whole = False
     except ValueError:
-        return None
+        # a run past the reader's digit limit, at no known row
+        return [], 1
+    if len(nums) < 2 or not 1 <= nums[0] <= DEFAULT_VERTEX_CAP or nums[1] < 0:
+        return [], 1
+    count = nums[1]
+    if whole and len(nums) // 2 - 1 == count:
+        return nums, 0
+    # the line loop takes over at the first row not read, or at the row past
+    # the header's count, where it raises "more than count edge lines"
+    stop = min(len(nums) // 2, count + 1)
+    del nums[2 * stop:]
+    if stop == len(rows):
+        return nums, len(lines) + 1
+    # rows[stop] is lines[at] for some at >= stop, found by identity since
+    # rows repeat.  splitlines shares a string object between equal lines
+    # only below two characters, and no line from stop to at is such a row:
+    # they are blank lines, comments and rows read, three characters or more
+    at = stop
+    while lines[at] is not rows[stop]:
+        at += 1
+    return nums, at + 1
 
 
-def _parse_lines(text: str) -> Graph:
-    """The line-by-line reader: the only one that reports syntax errors."""
+def _parse_lines(
+    text: str,
+    start: int = 1,
+    header: tuple[int, int] | None = None,
+    edges: list[tuple[int, int]] | None = None,
+) -> Graph:
+    """The line-by-line reader: the only one that reports syntax errors.
+
+    It reads the text from line ``start`` on, after the ``header`` and the
+    ``edges`` that the lines before it hold; called with the text alone, it
+    reads the whole text and is the reference the bulk read must match.
+    """
     # a data line of the grammar, stripped: \s is str.isspace, as in split()
     # and strip(), and [0-9] since int() also reads "1_0", "+2" and
     # non-ASCII digits; blank and comment lines never match
     row_of = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)").fullmatch
     read, cap = _int_reader()
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if edges is None:
+        edges = []
+    lineno = start - 1
+    for lineno, raw in enumerate(islice(text.splitlines(), start - 1, None), start):
         line = raw.strip()
         row = row_of(line)
         if row is None:

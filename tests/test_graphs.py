@@ -668,8 +668,10 @@ class TestEdgeListFormat:
 
 
 #: Characters that int(), str.split() and str.splitlines() read differently,
-#: plus the format's own; \u0663 is an Arabic-Indic three.
-HOSTILE = "0123456789-+_ \t\r\x0b\x1f#\n\u0663"
+#: plus the format's own; \u0663 is an Arabic-Indic three.  \x0c, \x1c and
+#: \u2028 end a line for splitlines() alone and \xa0 is a space for isspace()
+#: alone, which the bulk read's row filter and its resume both rely on.
+HOSTILE = "0123456789-+_ \t\r\x0b\x1f#\n\u0663.\x0c\x1c\u2028\xa0"
 
 
 def _outcome(parse, text):
@@ -739,24 +741,26 @@ class TestBulkRead:
         return g, f"# seeded edge list\n{g.order} {g.size}\n" + "\n".join(rows) + "\n"
 
     def test_plain_text_never_reaches_the_line_loop(self, monkeypatch):
-        def line_loop(text):
+        def line_loop(text, *state):
             raise AssertionError("line loop reached")
 
         monkeypatch.setattr(graphs_module, "_parse_lines", line_loop)
         g, text = self._benchmark_shaped(" ")
         assert parse_edge_list(text) == g
         _, tabbed = self._benchmark_shaped("\t")
+        assert parse_edge_list(tabbed) == g
+        _, refused = self._benchmark_shaped("\t ")
         with pytest.raises(AssertionError, match="line loop reached"):
-            parse_edge_list(tabbed)
+            parse_edge_list(refused)
 
     def test_zero_padded_ids_reach_the_line_loop_once(self, monkeypatch):
         # JSON integers have no leading zero, so the bulk read refuses "0007"
         calls = []
         line_loop = graphs_module._parse_lines
 
-        def counted(text):
+        def counted(text, *state):
             calls.append(text)
-            return line_loop(text)
+            return line_loop(text, *state)
 
         monkeypatch.setattr(graphs_module, "_parse_lines", counted)
         g, text = self._benchmark_shaped(" ")
@@ -769,6 +773,59 @@ class TestBulkRead:
     def test_both_paths_read_the_benchmark_shape(self, sep):
         g, text = self._benchmark_shaped(sep)
         assert parse_edge_list(text) == graphs_module._parse_lines(text) == g
+
+    #: One bad data row each, written in place of a row: the line loop takes
+    #: over at it, but at line 1 for a field past the digit limit, since json
+    #: gives no position for a field its reader refuses.
+    DEFECTS = {
+        "half": lambda row: row + ".5",
+        "three-fields": lambda row: row + " 1",
+        "zero-padded": lambda row: "0" + row,
+        "past-digit-limit": lambda row: row + "1" * graphs_module._int_reader()[1],
+        "indented-comment": lambda row: "  # c\n" + row,
+        "two-spaces": lambda row: row.replace(" ", "  "),
+    }
+
+    @pytest.mark.parametrize(
+        "defect, where",
+        [(defect, where) for defect in DEFECTS for where in ("first", "middle", "last")]
+        + [("bad-header", None), ("count+1", None), ("count-1", None)],
+    )
+    def test_line_loop_resumes_at_the_first_row_the_bulk_read_refuses(
+        self, monkeypatch, defect, where
+    ):
+        g = product(path_graph(40), path_graph(50), ProductKind.CARTESIAN)
+        header, *rows = serialize_edge_list(g).splitlines()
+        rng = random.Random(9)
+        rng.shuffle(rows)
+        for filler in ("# comment", "", "   ") * 20:
+            rows.insert(rng.randrange(len(rows)), filler)
+        lines = ["# P_40 x P_50", header, *rows]
+        data = [i for i, line in enumerate(lines) if line[:1].isdigit()][1:]
+        if defect == "bad-header":
+            lines[1], start = f"0 {g.size}", 1
+        elif defect == "count+1":
+            # every row is read, so the line loop starts past the last line
+            lines[1], start = f"{g.order} {g.size + 1}", len(lines) + 1
+        elif defect == "count-1":
+            lines[1], start = f"{g.order} {g.size - 1}", data[-1] + 1
+        else:
+            at = data[{"first": 0, "middle": len(data) // 2, "last": -1}[where]]
+            lines[at] = self.DEFECTS[defect](lines[at])
+            start = 1 if defect == "past-digit-limit" else at + 1
+        text = "\n".join(lines) + "\n"
+        starts = []
+        line_loop = graphs_module._parse_lines
+
+        def spied(text, start=1, *state):
+            starts.append(start)
+            return line_loop(text, start, *state)
+
+        monkeypatch.setattr(graphs_module, "_parse_lines", spied)
+        got = _outcome(parse_edge_list, text)
+        assert starts == [start]
+        monkeypatch.undo()
+        assert got == _outcome(graphs_module._parse_lines, text)
 
 
 class TestRandomGraph:
