@@ -668,9 +668,9 @@ class TestEdgeListFormat:
 
 
 #: Characters that int(), str.split() and str.splitlines() read differently,
-#: plus the format's own; \u0663 is an Arabic-Indic three.  \x0c, \x1c and
-#: \u2028 end a line for splitlines() alone and \xa0 is a space for isspace()
-#: alone, which the bulk read's row filter and its resume both rely on.
+#: plus the format's own and "."; \u0663 is an Arabic-Indic three.  \x0c,
+#: \x1c and \u2028 end a line for splitlines() and \xa0 is a space for
+#: isspace(), which the bulk read's row filter and its resume both read.
 HOSTILE = "0123456789-+_ \t\r\x0b\x1f#\n\u0663.\x0c\x1c\u2028\xa0"
 
 
