@@ -48,9 +48,9 @@ read keeps every row before the first one it cannot read, and the line
 loop starts there, with the header and the edges read so far; the line
 loop is the only reader that reports syntax errors, with their line
 numbers.  The bulk read cannot read a row that is not two runs of ASCII
-digits and ``-`` split by one space or one tab, nor a zero-padded run
-(``007``), since JSON integers have no leading zero; the line loop reads
-such a run as the same value, only more slowly.  The bulk read also stops
+digits and ``-`` split by one space, nor a zero-padded run (``007``),
+since JSON integers have no leading zero; the line loop reads such a run
+as the same value, only more slowly.  The bulk read also stops
 after the header's count of edge rows, so a wrong count reaches the line
 loop at the row past it or at the text's end.  It keeps nothing when the
 header is bad, or when a run is past the digit limit of ``_int_reader``,
@@ -469,12 +469,11 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(nums[0], zip(fields, fields))
 
 
-#: Deletes the characters a bulk-read field may hold and turns a tab into a
-#: space, leaving the separators.
-_FIELD_CHARS = str.maketrans("\t", " ", "-0123456789")
+#: Deletes the characters a bulk-read field may hold, leaving the separators.
+_FIELD_CHARS = str.maketrans("", "", "-0123456789")
 
 #: Turns the bulk-read separators into JSON array commas.
-_COMMAS = str.maketrans(" \t\n", ",,,")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 def _bulk_fields(text: str) -> tuple[list[int], int]:
@@ -483,7 +482,7 @@ def _bulk_fields(text: str) -> tuple[list[int], int]:
 
     A row is a line that is not blank or a comment.  The bulk read keeps
     every row before the first that is not two runs of ASCII digits and
-    ``-`` split by one space or one tab, each run a JSON integer that the
+    ``-`` split by one space, each run a JSON integer that the
     :func:`_int_reader` reader reads, and no edge row past the header's
     count.  The line loop takes over at the next row, or past the last line
     when every row was read and the count is wrong.  No row is kept, and
@@ -501,12 +500,14 @@ def _bulk_fields(text: str) -> tuple[list[int], int]:
     lines = text.splitlines()
     rows = [line for line in lines if line and line[0] != "#" and not line.isspace()]
     data = "\n".join(rows)
-    # one space or tab per row and nothing else besides digits and "-"; an
-    # empty run becomes ",,", a leading "," or a trailing ",", which json refuses
-    whole = data.translate(_FIELD_CHARS) == " \n" * (len(rows) - 1) + " "
+    # one space per row and nothing else besides digits and "-"; an empty
+    # run becomes ",,", a leading "," or a trailing ",", which json refuses
+    seps = data.translate(_FIELD_CHARS)
+    whole = seps == " \n" * (len(rows) - 1) + " "
     if not whole:
-        # keep the rows before the first whose separator is not one space or tab
-        data = "\n".join(rows[:re.match("(?: \n)*", data.translate(_FIELD_CHARS)).end() // 2])
+        # keep the rows before the first whose separator is not one space
+        data = "\n".join(rows[:re.match("(?: \n)*", seps).end() // 2])
+    del seps  # not held while the JSON document is built and read
     read, _ = _int_reader()
     doc = "[" + data.translate(_COMMAS) + "]"
     try:
@@ -536,6 +537,7 @@ def _bulk_fields(text: str) -> tuple[list[int], int]:
     # rows repeat.  splitlines shares a string object between equal lines
     # only below two characters, and no line from stop to at is such a row:
     # they are blank lines, comments and rows read, three characters or more
+    # (CPython's splitlines; a test pins it)
     at = stop
     while lines[at] is not rows[stop]:
         at += 1
