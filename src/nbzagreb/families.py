@@ -49,10 +49,15 @@ def _plan(kind: ProductKind | None, *factors: tuple[Callable, int]) -> tuple[int
 
 
 def _product(kind: ProductKind | None, *factors: tuple[Callable, int]) -> Graph:
-    """The member that :func:`_plan` admits: its factors, then its kind's build."""
+    """The member that :func:`_plan` admits: its factors, then its kind's build.
+
+    The factors are built one at a time as the build reads them, and
+    nothing here holds them, so the build owns them: the cartesian kind
+    drops each once its pairs are emitted, before the pairs are sorted.
+    """
     _plan(kind, *factors)
-    graphs = [build(n) for build, n in factors]
-    return graphs[0] if kind is None else _KINDS[kind].build(graphs)
+    graphs = (build(n) for build, n in factors)
+    return next(graphs) if kind is None else _KINDS[kind].build(graphs)
 
 
 def _build(name: str, *params) -> Graph:

@@ -22,7 +22,11 @@ Construction has two steps.  ``Graph(order, edge_pairs)`` refuses an order
 above the vertex cap, then validates every pair and collects its canonical
 key as the int code ``min * order + max`` in a set; the codes are sorted
 (an int sort, much cheaper than a tuple sort on shuffled input) and turned
-back into sorted ``(u, v)`` pairs with ``divmod``.  One shared fill step
+back into sorted ``(u, v)`` pairs with ``divmod``.  The set is freed before
+the pairs are made and the sorted codes before they are stored, and
+``parse_edge_list`` hands over its field list through an iterator alone,
+which frees it once the last pair is read: each of these is about the
+size of the graph, and at most two are alive at once.  One shared fill step
 then stores the pairs and counts the degrees.  The private
 ``Graph._from_canonical(order, keys)`` sorts ``keys`` in place by their
 first vertex alone and runs the fill step.  Its contract: ``keys`` is a
@@ -32,7 +36,9 @@ increasing order of ``v``, wherever they lie in the list.  The sort is
 stable, so it leaves each such run in its order and yields the canonical
 lexicographic order.  It compares one int per step where a tuple sort
 makes two rich comparisons, and took about half a tuple sort's time on
-the products' pairs.  Nothing checks the contract;
+the products' pairs.  A builder drops what it no longer reads before it
+calls here, so the sort and the fill hold the pairs and what the caller
+holds, not the builder's own inputs.  Nothing checks the contract;
 it is for builders whose output meets it by construction: the elementary
 families and ``random_graph`` here, which emit their pairs in
 lexicographic order but for the cycle's closing pair ``(0, n - 1)``, the
@@ -266,7 +272,11 @@ class Graph:
             if code in seen:
                 raise DuplicateEdgeError(f"edge ({u}, {v}) appears more than once")
             seen.add(code)
-        self._fill(order, list(map(divmod, sorted(seen), repeat(order))))
+        codes = sorted(seen)
+        del seen  # not held while the pairs are made
+        keys = list(map(divmod, codes, repeat(order)))
+        del codes
+        self._fill(order, keys)
 
     @classmethod
     def _from_canonical(cls, order: int, keys: list[tuple[int, int]]) -> Graph:
@@ -466,7 +476,10 @@ def parse_edge_list(text: str) -> Graph:
     if start:
         header = (nums[0], nums[1]) if nums else None
         return _parse_lines(text, start, header, list(zip(fields, fields)))
-    return Graph(nums[0], zip(fields, fields))
+    order = nums[0]
+    # the iterator frees the field list once the build has read its last pair
+    del nums
+    return Graph(order, zip(fields, fields))
 
 
 #: Deletes the characters a bulk-read field may hold, leaving the separators.

@@ -65,6 +65,18 @@ stays inside ``x``'s aligned span of ``s`` ids; and one factor's pairs
 from ``x`` follow its edges ``ab`` with ``a`` fixed, ``b`` increasing.  So
 each vertex's pairs come in increasing order, as the contract asks.
 
+A builder never changes its factors, and a factor belongs to whoever
+holds it.  :func:`cartesian_n` reads its iterable once into a list of its
+own and drops each factor from that list once the factor's pairs are
+emitted, and the id ``blocks`` and ``ids`` once all pairs are, so while
+``Graph._from_canonical`` sorts and fills, the build holds its pairs
+alone.  A factor that the caller still holds (``cartesian(G1, G2)``,
+``cartesian_n(my_list)``) stays alive, and the caller's sequence is left
+as it was; the family builds of :mod:`nbzagreb.families` hold none, so a
+prism sorts its pairs without its cycle factor.  ``tensor`` and ``wreath``
+take ``(G1, G2)`` and hold both until they return: they read their larger
+factor until their last pair.
+
 Each kind is one frozen record in ``_KINDS``: its edge count ``size``,
 its builder ``build`` and its per-vertex law ``law`` for the
 neighbour-degree sum, on factor data alone (:func:`delta_law_check`
@@ -161,22 +173,25 @@ def cartesian_n(graphs: Iterable[Graph]) -> Graph:
     fold would refuse, but no intermediate product is built (see the
     module docstring).
     """
-    graphs = tuple(graphs)
+    # a list of its own, which drops each factor once its pairs are emitted;
+    # the caller's iterable is read once and never changed
+    graphs = list(graphs)
     if not graphs:
         raise ValueError("cartesian_n needs at least one factor")
     order, _ = _check_product(_CARTESIAN, [(G.order, G.size) for G in graphs])
-    *firsts, last = graphs
-    if not firsts:
-        return last
-    stride = last.order
+    G = graphs.pop()
+    if not graphs:
+        return G
+    stride = G.order
     blocks = _blocks(order // stride, stride)
-    edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in last.edges]
+    edges = [(row[v1], row[v2]) for row in blocks for v1, v2 in G.edges]
     # the first factor's step is the whole order, so it takes the block
     # branch below, and with two factors its blocks are the rows above;
     # the ids are cut only for a factor between the first and the last,
     # since with two factors they would add 8 bytes per vertex to the peak
-    ids = tuple(chain.from_iterable(blocks)) if len(firsts) > 1 else ()
-    for G in reversed(firsts):
+    ids = tuple(chain.from_iterable(blocks)) if len(graphs) > 1 else ()
+    while graphs:
+        G = graphs.pop()
         n, step = G.order, G.order * stride
         if order // step > stride:
             # one run of order // step pairs per offset below `stride` and edge of G
@@ -191,6 +206,8 @@ def cartesian_n(graphs: Iterable[Graph]) -> Graph:
                 for a, b in G.edges:
                     edges += zip(blocks[p + a], blocks[p + b])
         stride = step
+    # the pairs hold every id they need: nothing else is kept while they sort
+    del G, blocks, ids
     return Graph._from_canonical(order, edges)
 
 
@@ -200,8 +217,9 @@ class _Kind:
 
     # the product's edge count from n1, n2 and the factors' sizes m1, m2
     size: Callable[[int, int, int, int], int]
-    # the product of a sequence of factors: two, or any number if cartesian
-    build: Callable[[Sequence[Graph]], Graph]
+    # the product of an iterable of factors, read once: two, or any number
+    # if cartesian
+    build: Callable[[Iterable[Graph]], Graph]
     # the neighbour-degree sum of product vertex (u, v) from u's sum s1 and
     # degree d1 in G1, v's s2 and d2 in G2, and G2's order n2 and size e2
     law: Callable[[int, int, int, int, int, int], int]

@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 import sys
+import tracemalloc
 from itertools import groupby
 from operator import itemgetter
 from unittest import mock
@@ -843,6 +844,25 @@ class TestBulkRead:
             parse_edge_list(text)
         assert starts == [7]
         assert exc.value.line == 7
+
+    def test_parse_peaks_near_the_graph_it_keeps(self):
+        # P_300 x P_150, 89 550 edges, shuffled and half flipped: the field
+        # list and the code set are freed before the divmod pairs are made,
+        # so the peak stays under 1.5 times the kept graph (about 1.3 times;
+        # 2.3 times when all three were alive together)
+        g = families.grid(300, 150)
+        rng = random.Random(11)
+        rows = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in g.edges]
+        rng.shuffle(rows)
+        text = f"{g.order} {g.size}\n" + "\n".join(rows) + "\n"
+        tracemalloc.start()
+        try:
+            parsed = parse_edge_list(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed == g
+        assert peak < 1.5 * kept, f"peak {peak} bytes, kept {kept}"
 
 
 class TestRandomGraph:

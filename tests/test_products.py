@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import gc
 import importlib
 import inspect
 import itertools
@@ -532,6 +533,45 @@ class TestCartesianN:
     def test_hamming_is_the_binary_fold(self, sizes):
         fold = functools.reduce(cartesian, map(complete_graph, sizes))
         assert families.hamming(sizes) == fold
+
+
+def _live_graphs(order):
+    # Graph has no __weakref__ slot, so the collector's list is the way to
+    # find its instances; one being filled may not have an order yet
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, Graph) and getattr(obj, "_order", None) == order]
+
+
+class TestFactorsReleased:
+    """A family product owns the factors it builds and drops each once its
+    pairs are emitted; a caller's own factors are left as they were."""
+
+    def test_prism_sorts_without_its_cycle(self, monkeypatch):
+        n = 1013
+        before = {id(g) for g in _live_graphs(n)}
+        seen = []
+        from_canonical = Graph._from_canonical.__func__
+
+        def spied(cls, order, keys):
+            if order == 2 * n:
+                seen.append([g for g in _live_graphs(n) if id(g) not in before])
+            return from_canonical(cls, order, keys)
+
+        monkeypatch.setattr(Graph, "_from_canonical", classmethod(spied))
+        g = families.prism(n)
+        monkeypatch.undo()
+        assert seen == [[]]
+        assert g == cartesian(complete_graph(2), cycle_graph(n))
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_caller_factors_are_left_unchanged(self, container):
+        factors = container([complete_graph(2), path_graph(3), cycle_graph(4)])
+        kept = list(factors)
+        g = cartesian_n(factors)
+        assert len(factors) == 3 and all(a is b for a, b in zip(factors, kept))
+        assert g == functools.reduce(cartesian, kept)
+        # each factor's edges once per vertex of the other two
+        assert (g.order, g.size) == (24, 12 * 1 + 8 * 2 + 6 * 4)
 
 
 class TestEdgeCountLaws:
