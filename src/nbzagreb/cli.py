@@ -7,8 +7,8 @@ random-trial rule is selected).  Exit codes: 0 success, 1 usage error
 (including an ``--m``, ``--n`` or ``--sizes`` that no selected formula or
 family takes), 2 data error (including running out of memory).  Numeric
 output: integers verbatim, rationals as ``p/q``, floats with 6
-significant digits (``--precision`` widens).  Every integer flag is read
-as edge-list fields are.
+significant digits (``--precision`` widens, up to 17).  Every integer
+flag is read as edge-list fields are.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ def _bounded_int(minimum: int, maximum: int | None = None):
     return parse
 
 
-#: argparse type of ``--precision``: float formatting takes a precision
-#: up to the largest C ``int``
-_precision = _bounded_int(0, 2**31 - 1)
+#: argparse type of ``--precision``: up to 17 significant digits, the
+#: most that a float's ``repr`` needs
+_precision = _bounded_int(0, 17)
 
 
 def _untaken_param(args, taken) -> str | None:

@@ -46,25 +46,27 @@ last of vertex 0's two; the alkane trees, whose every branch vertex is
 new and numbered above all before it; and the products in
 :mod:`.products`.
 
-Edge-list text is read in bulk first: the lines that are not blank or
-comments are joined, their separators become commas, and json's C scanner
-reads the fields as one JSON array of ints, with no string made per line
-or per field; the lines are freed before the graph is built.  The bulk
-read keeps every row before the first one it cannot read, and the line
-loop starts there, with the header and the edges read so far; the line
-loop is the only reader that reports syntax errors, with their line
-numbers.  The bulk read cannot read a row that is not two runs of ASCII
-digits and ``-`` split by one space, nor a zero-padded run (``007``),
-since JSON integers have no leading zero; the line loop reads such a run
-as the same value, only more slowly.  The bulk read also stops
-after the header's count of edge rows, so a wrong count reaches the line
-loop at the row past it or at the text's end.  It keeps nothing when the
-header is bad, or when a run is past the digit limit of ``_int_reader``,
-which json refuses at no known row; the line loop then reads from line 1.
-With the int-string limit off, that digit limit is
-the default one, 4300 digits, since ``int()`` takes time quadratic in the
-digits it reads.  Both readers give the same graph, or the same error, for
-every text.  The serializer writes the whole text but its header with one
+Edge-list text is split into lines once, and both readers skip the same
+lines: blank ones and those that start with ``#`` after their whitespace.
+The bulk read is one prefix read: json's C scanner reads the other lines,
+the rows, joined with their separators made commas, as one JSON array of
+ints, with no string made per line or per field.  It keeps the longest
+leading run of rows that are two JSON integers split by one space, each
+within the digit limit of ``_int_reader``.  It finds the first row that
+json cannot read from the position of json's error or, for a run past
+the digit limit, which json refuses with no position, as the row of the
+first such run.  JSON integers have no leading zero, so a zero-padded run
+(``007``) also ends the prefix; the line loop reads it as the same value,
+only more slowly.  When every row was read and the header and its count
+hold, the graph is built from those fields, with the lines freed first.
+Otherwise the line loop resumes once, on the same lines and with the
+fields read so far: at the first row not read, at the header's row when
+the header is bad, or at the row past the header's count.  It is the
+only reader that reports syntax errors, with their line numbers.  With
+the int-string limit off, the digit limit is the default one, 4300
+digits, since ``int()`` takes time quadratic in the digits it reads.
+Both readers give the same graph, or the same error, for every text.
+The serializer writes the whole text but its header with one
 ``%`` format call over all the edges' ids.  This module owns the
 int-string limit: one reader (``_int_reader``, for edge-list fields,
 locants and the CLI's integer flags), one writer (``_decimal``, for the
@@ -471,15 +473,34 @@ def parse_edge_list(text: str) -> Graph:
     A header order above :data:`DEFAULT_VERTEX_CAP` is rejected on the
     header line, before anything of that size is allocated.
     """
-    nums, start = _bulk_fields(text)
-    fields = islice(nums, 2, None)
-    if start:
-        header = (nums[0], nums[1]) if nums else None
-        return _parse_lines(text, start, header, list(zip(fields, fields)))
-    order = nums[0]
-    # the iterator frees the field list once the build has read its last pair
-    del nums
-    return Graph(order, zip(fields, fields))
+    lines = text.splitlines()
+    # the line loop's skip rule: a line blank or "#" after its whitespace
+    rows = [line for line in lines if (head := line.lstrip()) and head[0] != "#"]
+    nums = _bulk_fields(rows)
+    stop = len(nums) // 2  # the rows read, the header's among them
+    if stop and 1 <= nums[0] <= DEFAULT_VERTEX_CAP and nums[1] >= 0:
+        if stop == len(rows) == nums[1] + 1:
+            order = nums[0]
+            fields = islice(nums, 2, None)
+            # the iterator frees the field list once the build has read its last pair
+            del lines, rows, nums
+            return Graph(order, zip(fields, fields))
+        # the line loop raises "more than count edge lines" at the row past the count
+        stop = min(stop, nums[1] + 1)
+    else:
+        stop = 0  # the line loop reads the header and names what is wrong with it
+    del nums[2 * stop:]
+    # rows[stop], if any, is lines[at] for some at >= stop, found by identity
+    # since rows repeat.  splitlines shares a string object between equal
+    # lines only below two characters, and no line from stop to at shares
+    # one with rows[stop]: skipped lines never equal a row, and rows read
+    # have three characters or more (CPython's splitlines; a test pins it)
+    row = rows[stop] if stop < len(rows) else None
+    at = stop
+    while at < len(lines) and lines[at] is not row:
+        at += 1
+    del rows
+    return _parse_lines(lines, at, nums)
 
 
 #: Deletes the characters a bulk-read field may hold, leaving the separators.
@@ -489,99 +510,65 @@ _FIELD_CHARS = str.maketrans("", "", "-0123456789")
 _COMMAS = str.maketrans(" \n", ",,")
 
 
-def _bulk_fields(text: str) -> tuple[list[int], int]:
-    """The fields of the rows read here, as ints, and the number of the line
-    where the line loop takes over, 0 when the text needs no line loop.
-
-    A row is a line that is not blank or a comment.  The bulk read keeps
-    every row before the first that is not two runs of ASCII digits and
-    ``-`` split by one space, each run a JSON integer that the
-    :func:`_int_reader` reader reads, and no edge row past the header's
-    count.  The line loop takes over at the next row, or past the last line
-    when every row was read and the count is wrong.  No row is kept, and
-    the line loop reads from line 1, when the header is not read or is bad,
-    or when a run is past the reader's digit limit, which json refuses at
-    no position.
+def _bulk_fields(rows: list[str]) -> list[int]:
+    """The fields, as ints, of the longest leading run of ``rows`` that read
+    as two runs of ASCII digits and ``-`` split by one space, each run a JSON
+    integer that the :func:`_int_reader` reader reads.
 
     The runs are read as one JSON array by json's C scanner.  JSON's
     integers, ``-?(0|[1-9][0-9]*)``, are the field grammar's without a
-    leading zero, so the bulk read stops at a zero-padded run (``007``,
-    ``-01``) and the line loop reads it.  On the lines read here this
-    reader and the line loop read the same values.  Its lines are freed on
-    return, before the graph is built.
+    leading zero, so the prefix ends at a zero-padded run (``007``,
+    ``-01``) and the line loop reads it.  On the rows read here this
+    reader and the line loop read the same values.
     """
-    lines = text.splitlines()
-    rows = [line for line in lines if line and line[0] != "#" and not line.isspace()]
     data = "\n".join(rows)
     # one space per row and nothing else besides digits and "-"; an empty
-    # run becomes ",,", a leading "," or a trailing ",", which json refuses
-    seps = data.translate(_FIELD_CHARS)
-    whole = seps == " \n" * (len(rows) - 1) + " "
-    if not whole:
-        # keep the rows before the first whose separator is not one space
-        data = "\n".join(rows[:re.match("(?: \n)*", seps).end() // 2])
+    # run becomes ",,", a leading "," or a trailing ",", which json refuses;
+    # the comparison spares a clean text the match, 1-2 % of its parse
+    seps = data.translate(_FIELD_CHARS) + "\n"
+    stop = len(rows) if seps == " \n" * len(rows) else re.match("(?: \n)*", seps).end() // 2
     del seps  # not held while the JSON document is built and read
-    read, _ = _int_reader()
-    doc = "[" + data.translate(_COMMAS) + "]"
-    try:
-        # the scanner calls back into Python only where read is not int
-        nums = json.loads(doc, parse_int=read)
-    except json.JSONDecodeError as exc:
-        # the scanner reads left to right, so it read every row before the
-        # one that holds the error: the row of the field after its commas
-        data = "\n".join(rows[:doc.count(",", 0, exc.pos) // 2])
-        nums = json.loads("[" + data.translate(_COMMAS) + "]", parse_int=read)
-        whole = False
-    except ValueError:
-        # a run past the reader's digit limit, at no known row
-        return [], 1
-    if len(nums) < 2 or not 1 <= nums[0] <= DEFAULT_VERTEX_CAP or nums[1] < 0:
-        return [], 1
-    count = nums[1]
-    if whole and len(nums) // 2 - 1 == count:
-        return nums, 0
-    # the line loop takes over at the first row not read, or at the row past
-    # the header's count, where it raises "more than count edge lines"
-    stop = min(len(nums) // 2, count + 1)
-    del nums[2 * stop:]
-    if stop == len(rows):
-        return nums, len(lines) + 1
-    # rows[stop] is lines[at] for some at >= stop, found by identity since
-    # rows repeat.  splitlines shares a string object between equal lines
-    # only below two characters, and no line from stop to at is such a row:
-    # they are blank lines, comments and rows read, three characters or more
-    # (CPython's splitlines; a test pins it)
-    at = stop
-    while lines[at] is not rows[stop]:
-        at += 1
-    return nums, at + 1
+    read, cap = _int_reader()
+    while True:
+        if stop < len(rows):
+            data = "\n".join(rows[:stop])
+        doc = "[" + data.translate(_COMMAS) + "]"
+        try:
+            # the scanner calls back into Python only where read is not int
+            return json.loads(doc, parse_int=read)
+        except json.JSONDecodeError as exc:
+            at = exc.pos
+        except ValueError:
+            # the reader refuses a run past its digit limit, and json says
+            # not where; json reads left to right and refuses a zero-padded
+            # run with a position, so it is the first run that long
+            at = re.search(f"(?<![0-9])[0-9]{{{cap + 1}}}", doc).start()
+        # every row before the one that holds ``at`` was read: the row of
+        # the field after its commas
+        stop = doc.count(",", 0, at) // 2
 
 
-def _parse_lines(
-    text: str,
-    start: int = 1,
-    header: tuple[int, int] | None = None,
-    edges: list[tuple[int, int]] | None = None,
-) -> Graph:
+def _parse_lines(lines: str | list[str], at: int = 0, nums: list[int] | None = None) -> Graph:
     """The line-by-line reader: the only one that reports syntax errors.
 
-    It reads the text from line ``start`` on, after the ``header`` and the
-    ``edges`` that the lines before it hold; called with the text alone, it
+    It reads ``lines``, a text's ``splitlines()``, from index ``at`` on,
+    after ``nums``, the fields of the header and the edges that the lines
+    before it hold, and takes ``nums`` over; called with a text alone, it
     reads the whole text and is the reference the bulk read must match.
     """
+    lines = lines.splitlines() if isinstance(lines, str) else lines
+    nums = [] if nums is None else nums
     # a data line of the grammar, stripped: \s is str.isspace, as in split()
     # and strip(), and [0-9] since int() also reads "1_0", "+2" and
     # non-ASCII digits; blank and comment lines never match
     row_of = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)").fullmatch
     read, cap = _int_reader()
-    if edges is None:
-        edges = []
-    lineno = start - 1
-    for lineno, raw in enumerate(islice(text.splitlines(), start - 1, None), start):
+    lineno = at
+    for lineno, raw in enumerate(islice(lines, at, None), at + 1):
         line = raw.strip()
         row = row_of(line)
         if row is None:
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
             count = len(line.split())
             if count != 2:
@@ -593,24 +580,24 @@ def _parse_lines(
         except ValueError:
             # the reader refuses a field of the grammar only past its cap
             raise EdgeListSyntaxError(f"field longer than {cap} digits", lineno) from None
-        if header is None:
-            header = (a, b)
+        if not nums:
             if a < 1 or b < 0:
                 raise EdgeListSyntaxError(f"bad header {_echo(line)}", lineno)
             if a > DEFAULT_VERTEX_CAP:
                 raise EdgeListSyntaxError(
-                    f"order {a} exceeds vertex cap {DEFAULT_VERTEX_CAP}", lineno
+                    f"order {_echo(a)} exceeds vertex cap {DEFAULT_VERTEX_CAP}", lineno
                 )
-        elif len(edges) < header[1]:
-            edges.append((a, b))
-        else:
-            raise EdgeListSyntaxError(f"more than {header[1]} edge lines", lineno)
+        elif len(nums) // 2 > nums[1]:
+            raise EdgeListSyntaxError(f"more than {_echo(nums[1])} edge lines", lineno)
+        nums += a, b
     # lineno is the last line's number, 0 for a text without lines
-    if header is None:
+    if not nums:
         raise EdgeListSyntaxError("missing 'n m' header", lineno or 1)
-    if len(edges) != header[1]:
-        raise EdgeListSyntaxError(f"expected {header[1]} edge lines, found {len(edges)}", lineno)
-    return Graph(header[0], edges)
+    found = len(nums) // 2 - 1
+    if found != nums[1]:
+        raise EdgeListSyntaxError(f"expected {_echo(nums[1])} edge lines, found {found}", lineno)
+    fields = islice(nums, 2, None)
+    return Graph(nums[0], zip(fields, fields))
 
 
 def serialize_edge_list(G: Graph) -> str:

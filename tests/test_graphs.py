@@ -506,6 +506,13 @@ class TestEdgeListFormat:
              "edge (0, -" + "1" * 30 + "... (4300 digits)) has a vertex outside 0..1"),
             ("2 " + "-" * 70 + "\n", EdgeListSyntaxError,
              "line 1: non-integer field in '2 " + "-" * 28 + "'... (72 characters)"),
+            # the header's order and count
+            pytest.param("1" + "0" * 3000 + " 0\n", EdgeListSyntaxError,
+                         "line 1: order 1" + "0" * 29 + "... (3001 digits) exceeds vertex cap 1000000",
+                         id="order"),
+            pytest.param("2 1" + "0" * 3000 + "\n", EdgeListSyntaxError,
+                         "line 1: expected 1" + "0" * 29 + "... (3001 digits) edge lines, found 0",
+                         id="count"),
         ],
     )
     def test_echoed_line_or_id_is_bounded(self, text, error, message):
@@ -590,7 +597,10 @@ class TestEdgeListFormat:
         assert shown == f"{text[:30]}... ({len(text)} characters)"
 
     def test_field_of_4300_digits_read(self):
-        with pytest.raises(EdgeListSyntaxError, match="^line 1: order 1{4300} exceeds vertex cap"):
+        # the echo shows the order read, by its head and its 4300 digits
+        with pytest.raises(
+            EdgeListSyntaxError, match=r"^line 1: order 1{30}\.\.\. \(4300 digits\) exceeds vertex cap"
+        ):
             parse_edge_list("1" * 4300 + " 0\n")
 
     def test_comment_may_hold_any_character(self):
@@ -752,21 +762,64 @@ class TestBulkRead:
         with pytest.raises(AssertionError, match="line loop reached"):
             parse_edge_list(tabbed)
 
+    def test_indented_comments_never_reach_the_line_loop(self, monkeypatch):
+        # both readers skip a line that is blank or "#" after its whitespace
+        def line_loop(lines, *state):
+            raise AssertionError("line loop reached")
+
+        monkeypatch.setattr(graphs_module, "_parse_lines", line_loop)
+        g, text = self._benchmark_shaped(" ")
+        header, *rows = text.splitlines()
+        rows[1:1] = ["  # c"]
+        rows[len(rows) // 2:len(rows) // 2] = ["\t# c", " \t #", "\t"]
+        rows.append("  # c")
+        assert parse_edge_list("\n".join([header, *rows]) + "\n") == g
+
     def test_zero_padded_ids_reach_the_line_loop_once(self, monkeypatch):
         # JSON integers have no leading zero, so the bulk read refuses "0007"
         calls = []
         line_loop = graphs_module._parse_lines
 
-        def counted(text, *state):
-            calls.append(text)
-            return line_loop(text, *state)
+        def counted(lines, *state):
+            calls.append(lines)
+            return line_loop(lines, *state)
 
         monkeypatch.setattr(graphs_module, "_parse_lines", counted)
         g, text = self._benchmark_shaped(" ")
         padded = re.sub(r"(?m)^([0-9]+) ([0-9]+)$", lambda m: f"{m[1]:0>4} {m[2]:0>4}", text)
         assert padded != text and "0007 " in padded
         assert parse_edge_list(padded) == parse_edge_list(text) == g
-        assert calls == [padded]
+        assert calls == [padded.splitlines()]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    @pytest.mark.parametrize("limit", [4300, 640, 0])
+    def test_field_past_the_digit_limit_resumes_at_its_own_row(self, monkeypatch, limit):
+        # json names no position for a run its reader refuses; the bulk read
+        # keeps the rows before the first run past the limit, and the line
+        # loop starts at that run's row
+        _, text = self._benchmark_shaped(" ")
+        lines = text.splitlines()
+        at = [i for i, line in enumerate(lines) if line[:1].isdigit()][len(lines) // 2]
+        cap = limit or 4300
+        lines[at] += "1" * cap
+        text = "\n".join(lines) + "\n"
+        starts = []
+        line_loop = graphs_module._parse_lines
+
+        def spied(lines, at=0, nums=None):
+            starts.append(at)
+            return line_loop(lines, at, nums)
+
+        monkeypatch.setattr(graphs_module, "_parse_lines", spied)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(EdgeListSyntaxError) as exc:
+                parse_edge_list(text)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert starts == [at]
+        assert str(exc.value) == f"line {at + 1}: field longer than {cap} digits"
 
     @pytest.mark.parametrize("sep", [" ", "\t"])
     def test_both_paths_read_the_benchmark_shape(self, sep):
@@ -774,8 +827,7 @@ class TestBulkRead:
         assert parse_edge_list(text) == graphs_module._parse_lines(text) == g
 
     #: One bad data row each, written in place of a row: the line loop takes
-    #: over at it, but at line 1 for a field past the digit limit, since json
-    #: gives no position for a field its reader refuses.
+    #: over at it, but never for an indented comment, which both readers skip.
     DEFECTS = {
         "half": lambda row: row + ".5",
         "three-fields": lambda row: row + " 1",
@@ -801,28 +853,29 @@ class TestBulkRead:
             rows.insert(rng.randrange(len(rows)), filler)
         lines = ["# P_40 x P_50", header, *rows]
         data = [i for i, line in enumerate(lines) if line[:1].isdigit()][1:]
+        # the line index where the line loop starts, if it is reached
         if defect == "bad-header":
-            lines[1], start = f"0 {g.size}", 1
+            lines[1], starts = f"0 {g.size}", [1]
         elif defect == "count+1":
             # every row is read, so the line loop starts past the last line
-            lines[1], start = f"{g.order} {g.size + 1}", len(lines) + 1
+            lines[1], starts = f"{g.order} {g.size + 1}", [len(lines)]
         elif defect == "count-1":
-            lines[1], start = f"{g.order} {g.size - 1}", data[-1] + 1
+            lines[1], starts = f"{g.order} {g.size - 1}", [data[-1]]
         else:
             at = data[{"first": 0, "middle": len(data) // 2, "last": -1}[where]]
             lines[at] = self.DEFECTS[defect](lines[at])
-            start = 1 if defect == "past-digit-limit" else at + 1
+            starts = [] if defect == "indented-comment" else [at]
         text = "\n".join(lines) + "\n"
-        starts = []
+        got_starts = []
         line_loop = graphs_module._parse_lines
 
-        def spied(text, start=1, *state):
-            starts.append(start)
-            return line_loop(text, start, *state)
+        def spied(lines, at=0, nums=None):
+            got_starts.append(at)
+            return line_loop(lines, at, nums)
 
         monkeypatch.setattr(graphs_module, "_parse_lines", spied)
         got = _outcome(parse_edge_list, text)
-        assert starts == [start]
+        assert got_starts == starts
         monkeypatch.undo()
         assert got == _outcome(graphs_module._parse_lines, text)
 
@@ -835,14 +888,14 @@ class TestBulkRead:
         starts = []
         line_loop = graphs_module._parse_lines
 
-        def spied(text, start=1, *state):
-            starts.append(start)
-            return line_loop(text, start, *state)
+        def spied(lines, at=0, nums=None):
+            starts.append(at)
+            return line_loop(lines, at, nums)
 
         monkeypatch.setattr(graphs_module, "_parse_lines", spied)
         with pytest.raises(EdgeListSyntaxError, match="more than 2 edge lines") as exc:
             parse_edge_list(text)
-        assert starts == [7]
+        assert starts == [6]
         assert exc.value.line == 7
 
     def test_parse_peaks_near_the_graph_it_keeps(self):
