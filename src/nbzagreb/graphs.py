@@ -5,29 +5,35 @@ construction (lexicographically sorted edge list, sorted neighbour tuples)
 and value-semantic: two graphs compare equal iff they have the same order
 and the same edge set.
 
-A graph stores its order, the sorted edge tuple and the degree tuple.  It
-caches two things, each built on first use: the per-vertex neighbour
-tuples (``adjacency``) and the tuple of neighbour-degree sums
+A graph stores two things, its order and the sorted edge tuple.  It
+caches three, each built on first use: the degree tuple (``degrees()``,
+one count over the edges), the per-vertex neighbour tuples
+(``adjacency``) and the tuple of neighbour-degree sums
 (``neighbor_degree_sums()``, one sweep over the edges).  The adjacency is
 not stored up front because the degree-based indices, edge-list I/O and
 the products read only edges, degrees and the sums, and one container per
 vertex (plus the cyclic garbage collector's passes over them) was most of
-a large build's cost.  The sums serve M2, MN and the per-vertex
-``neighbor_degree_sum``.  Neither cache is part of a graph's value: copy
-and pickle drop both.  Graphs can be shared between threads: two threads
-reading a cache of a fresh graph may both build it, which is harmless
-because both results are equal.
+a large build's cost.  The degrees are not counted up front because an
+edge-list round trip and a factor that only feeds a product never read
+them.  The sums serve M2, MN and the per-vertex ``neighbor_degree_sum``.
+No cache is part of a graph's value: copy and pickle drop all three.
+Graphs can be shared between threads: two threads reading a cache of a
+fresh graph may both build it, which is harmless because both results
+are equal.
 
-Construction has two steps.  ``Graph(order, edge_pairs)`` refuses an order
-above the vertex cap, then validates every pair and collects its canonical
-key as the int code ``min * order + max`` in a set; the codes are sorted
-(an int sort, much cheaper than a tuple sort on shuffled input) and turned
-back into sorted ``(u, v)`` pairs with ``divmod``.  The set is freed before
-the pairs are made and the sorted codes before they are stored, and
-``parse_edge_list`` hands over its field list through an iterator alone,
-which frees it once the last pair is read: each of these is about the
-size of the graph, and at most two are alive at once.  One shared fill step
-then stores the pairs and counts the degrees.  The private
+Construction has two steps.  ``Graph(order, edge_pairs)`` reads the order
+through ``operator.index`` and refuses one above the vertex cap, then
+validates every pair and collects its canonical key as the code
+``min * order + max`` in a set; the codes are sorted (an int sort, much
+cheaper than a tuple sort on shuffled input) and turned back into sorted
+``(u, v)`` pairs with ``divmod``.  An id that is not an int (a float, say)
+makes its code none either, so ``operator.index`` of the codes' sum, one
+C-level pass, refuses it with a ``TypeError`` that names the pair.  The
+set is freed before the pairs are made and the sorted codes before they
+are stored, and ``parse_edge_list`` hands over its field list through an
+iterator alone, which frees it once the last pair is read: each of these
+is about the size of the graph, and at most two are alive at once.  One
+shared fill step then stores the pairs.  The private
 ``Graph._from_canonical(order, keys)`` sorts ``keys`` in place by their
 first vertex alone and runs the fill step.  Its contract: ``keys`` is a
 list of distinct pairs ``(u, v)`` with ``0 <= u < v < order``, which the
@@ -87,7 +93,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable
 from itertools import chain, islice, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 
 #: Cap on graph order for the families, the products and parsed edge-list
 #: headers; wreath products blow up as |V2|^2 * |E1|.
@@ -202,12 +208,14 @@ class GraphError(ValueError):
     """Base class for graph construction and parsing errors."""
 
 
-def _check_order(order: int) -> None:
-    """Refuse an order below 1, or above the vertex cap before any
-    per-vertex list is allocated."""
+def _check_order(order: int) -> int:
+    """``order`` as an int; refuse one that is not an integer, below 1, or
+    above the vertex cap before any per-vertex list is allocated."""
+    order = index(order)
     if order < 1:
         raise GraphError(f"order must be >= 1, got {_echo(order)}")
     _check_cap("order", order)
+    return order
 
 
 class LoopEdgeError(GraphError):
@@ -229,6 +237,20 @@ def _out_of_range(u, v, order: int) -> VertexOutOfRangeError:
     )
 
 
+def _not_int(edge_pairs: Iterable[tuple[int, int]], codes: list) -> TypeError:
+    """The error for pairs whose sorted ``codes`` hold one that is not an
+    int: it names the first pair with such an id, in input order, where
+    ``edge_pairs`` can be read again, and else the lowest such code's type."""
+    if iter(edge_pairs) is not edge_pairs:
+        for u, v in edge_pairs:
+            for w in (u, v):
+                if not hasattr(type(w), "__index__"):
+                    return TypeError(f"edge ({_echo(u)}, {_echo(v)}) has a vertex id "
+                                     f"of type {type(w).__name__}, not int")
+    code = next(code for code in codes if not hasattr(type(code), "__index__"))
+    return TypeError(f"an edge has a vertex id of type {type(code).__name__}, not int")
+
+
 class EdgeListSyntaxError(GraphError):
     """Malformed edge-list text.  ``line`` is the offending 1-based line."""
 
@@ -244,17 +266,18 @@ class Graph:
     pairs (in either orientation) and out-of-range vertex ids are rejected
     with an error naming the offending pair.
 
-    Stored: ``_order``, the sorted ``_edges`` and the ``_degrees`` tuple.
-    ``_adj`` is ``None`` until ``adjacency`` is first read, which builds
-    the neighbour tuples from the edges and caches them; ``_sums`` is
-    ``None`` until ``neighbor_degree_sums`` is first called, which fills it
-    the same way.
+    Stored: ``_order`` and the sorted ``_edges``.  Cached: ``_degrees`` is
+    ``None`` until ``degrees`` is first called, which counts them over the
+    edges and caches the tuple; ``_adj`` is ``None`` until ``adjacency`` is
+    first read, which builds the neighbour tuples from the edges; ``_sums``
+    is ``None`` until ``neighbor_degree_sums`` is first called, which fills
+    it the same way.
     """
 
     __slots__ = ("_order", "_adj", "_edges", "_degrees", "_sums")
 
     def __init__(self, order: int, edge_pairs: Iterable[tuple[int, int]] = ()):
-        _check_order(order)
+        order = _check_order(order)
         seen: set[int] = set()
         # the orientation first, then only the two range tests it leaves
         for u, v in edge_pairs:
@@ -276,6 +299,11 @@ class Graph:
             seen.add(code)
         codes = sorted(seen)
         del seen  # not held while the pairs are made
+        try:
+            # an id that is not an int makes its code and the sum none either
+            index(sum(codes))
+        except TypeError:
+            raise _not_int(edge_pairs, codes) from None
         keys = list(map(divmod, codes, repeat(order)))
         del codes
         self._fill(order, keys)
@@ -292,14 +320,10 @@ class Graph:
         return graph
 
     def _fill(self, order: int, keys: list[tuple[int, int]]) -> None:
-        """Store ``keys``, sorted canonical pairs, and count the degrees."""
-        degrees = [0] * order
-        for u, v in keys:
-            degrees[u] += 1
-            degrees[v] += 1
+        """Store ``keys``, sorted canonical pairs, with no cache built."""
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_edges", tuple(keys))
-        object.__setattr__(self, "_degrees", tuple(degrees))
+        object.__setattr__(self, "_degrees", None)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_sums", None)
 
@@ -308,7 +332,8 @@ class Graph:
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the validating
-        # constructor; the cached adjacency and sums are not carried over
+        # constructor; the cached degrees, adjacency and sums are not
+        # carried over
         return (Graph, (self._order, self._edges))
 
     @property
@@ -347,10 +372,20 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return self._degrees[v]
+        return self.degrees()[v]
 
     def degrees(self) -> tuple[int, ...]:
-        return self._degrees
+        """Every vertex's degree, counted over the edges on first use, then
+        cached."""
+        degrees = self._degrees
+        if degrees is None:
+            counts = [0] * self._order
+            for u, v in self._edges:
+                counts[u] += 1
+                counts[v] += 1
+            degrees = tuple(counts)
+            object.__setattr__(self, "_degrees", degrees)
+        return degrees
 
     def neighbor_degree_sum(self, v: int) -> int:
         """Sum of the degrees of the neighbours of ``v``."""
@@ -362,7 +397,7 @@ class Graph:
         edges on first use, then cached."""
         sums = self._sums
         if sums is None:
-            degrees = self._degrees
+            degrees = self.degrees()
             counts = [0] * self._order
             for u, v in self._edges:
                 counts[u] += degrees[v]
@@ -404,23 +439,23 @@ class Graph:
 # family plan also sizes factors through (_SIZES), with nothing built.
 
 def empty_graph(n: int) -> Graph:
-    _check_order(n)
-    return Graph._from_canonical(n, [])
+    return Graph._from_canonical(_check_order(n), [])
 
 
 def path_graph(n: int) -> Graph:
     """P_n: vertices 0..n-1 joined consecutively."""
-    return Graph._from_canonical(n, [(i, i + 1) for i in range(_path_size(n))])
+    size = _path_size(n)
+    return Graph._from_canonical(size + 1, [(i, i + 1) for i in range(size)])
 
 
 def _path_size(n: int) -> int:
-    _check_order(n)
-    return n - 1
+    return _check_order(n) - 1
 
 
 def cycle_graph(n: int) -> Graph:
     """C_n for n >= 3."""
-    edges = [(i, i + 1) for i in range(_cycle_size(n) - 1)]
+    n = _cycle_size(n)
+    edges = [(i, i + 1) for i in range(n - 1)]
     edges.append((0, n - 1))
     return Graph._from_canonical(n, edges)
 
@@ -428,13 +463,13 @@ def cycle_graph(n: int) -> Graph:
 def _cycle_size(n: int) -> int:
     if n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {_echo(n)}")
-    _check_order(n)
-    return n
+    return _check_order(n)
 
 
 def complete_graph(n: int) -> Graph:
     """K_n, refused over the edge cap before any pair is built."""
     _complete_size(n)
+    n = index(n)
     return Graph._from_canonical(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -452,7 +487,7 @@ _SIZES = {"path_graph": _path_size, "cycle_graph": _cycle_size, "complete_graph"
 
 def star_graph(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to every other vertex."""
-    _check_order(n)
+    n = _check_order(n)
     return Graph._from_canonical(n, [(0, i) for i in range(1, n)])
 
 
@@ -619,7 +654,7 @@ def random_graph(order: int, edge_probability: float, seed: int) -> Graph:
     """
     if not 0.0 <= edge_probability <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {edge_probability}")
-    _check_order(order)
+    order = _check_order(order)
     rng = random.Random(seed)
     edges = [
         (u, v)

@@ -20,15 +20,27 @@ rational, and ``CHI`` is the single floating-point index.  Unreachable
 vertex pairs contribute 0 to ``HARARY``, so disconnected graphs are legal
 everywhere.
 
-The five degree indices (M1, M2, MN, F and CHI) take two sweeps over the
-edges between them; M1 and F read only the degree tuple.  M2 and MN share
-one sweep: the graph's cached neighbour-degree sums, from which MN is the
-sum of their squares and M2 is ``sum(deg(v) * sum(v)) // 2``, exact
-because each edge is counted once from each end.  CHI sweeps the edges
-itself and looks each term
-``1.0 / sqrt(deg(u) * deg(v))`` up in a memo keyed by the degree product,
-so it sums the same floats in the same order as the definition; an
-edgeless graph has CHI ``0.0``.
+The five degree indices (M1, M2, MN, F and CHI) take three sweeps over the
+edges between them, each at most once per graph: the graph counts its
+degrees on first use, M2 and MN share its cached neighbour-degree sums,
+and CHI sweeps the edges itself.  M1 and F read only the degree tuple.
+MN is the sum of the squared neighbour-degree sums and M2 is
+``sum(deg(v) * sum(v)) // 2``, exact because each edge is counted once
+from each end.  CHI reads each term ``1.0 / sqrt(deg(u) * deg(v))`` from
+a table by degree rank, ``table[rank(u)][rank(v)]``, built once, with one
+float object per unordered pair of ranks, so it sums the same floats in
+the same order as the definition; an edgeless graph has CHI ``0.0``.  The
+ranks are the degrees themselves when the table over every degree up to
+the largest, d, has no more entries than the degree tuple,
+(d + 1)**2 <= order, which spares a pass over the vertices.  Else they are
+the positions of the distinct degrees present, one list entry per vertex,
+and the table has at most (|D| + 1)**2 entries, D being the set of
+distinct positive degrees: D sums to at least |D|(|D| + 1)/2 and to at
+most 2 * size, so |D|**2 < 4 * size.
+One ``sum`` sees every term, since CPython 3.12's ``sum`` compensates
+over all it is given and carried partial sums give another float; it is
+fed one list of terms per block of 4096 edges, so no list of ``size``
+terms is made.
 
 The other three are counted by algorithm and bounded by a budget, a
 module constant; past it they raise :class:`TooLargeError` before
@@ -127,8 +139,8 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, mul
+from itertools import accumulate, chain, islice
+from operator import add, itemgetter, mul
 
 from .graphs import Graph
 
@@ -171,21 +183,41 @@ def second_zagreb(G: Graph) -> int:
 
 
 def forgotten(G: Graph) -> int:
-    return sum(d ** 3 for d in G.degrees())
+    return sum(d * d * d for d in G.degrees())
 
 
-class _InverseRoots(dict):
-    """``1.0 / math.sqrt(p)`` for each degree product p, worked out on first use."""
-
-    def __missing__(self, p: int) -> float:
-        value = self[p] = 1.0 / math.sqrt(p)
-        return value
+#: Edges per list of CHI terms that :func:`randic` hands its one ``sum``.
+_CHI_BLOCK = 4096
 
 
 def randic(G: Graph) -> float:
-    # the same float terms, in edge order, as summing 1.0 / sqrt(deg(u) * deg(v))
-    deg, inverse = G.degrees(), _InverseRoots()
-    return sum((inverse[deg[u] * deg[v]] for u, v in G.edges), 0.0)
+    """Sum over edges of ``1.0 / sqrt(deg(u) * deg(v))``: the same float
+    terms in edge order, read from a table by degree rank (see the module
+    docstring)."""
+    deg = G.degrees()
+    top = max(deg)
+    if (top + 1) ** 2 <= G.order:
+        # each degree is its own rank
+        present, ranks = range(top + 1), deg
+    else:
+        present = sorted(set(deg))
+        rank = [0] * (top + 1)
+        for i, d in enumerate(present):
+            rank[d] = i
+        ranks = [rank[d] for d in deg]
+    table: list[list[float]] = []
+    for i, a in enumerate(present):
+        # below the diagonal, the float objects of the rows above; degree 0
+        # is on no edge, so its row is never read
+        row = list(map(itemgetter(i), table))
+        row += [1.0 / math.sqrt(a * b) for b in present[i:]] if a else [0.0] * len(present)
+        table.append(row)
+    edges = iter(G.edges)
+    # one sum over all the terms: CPython 3.12's sum compensates over what
+    # it is given, so carried partial sums would give another float
+    blocks = ([table[ranks[u]][ranks[v]] for u, v in islice(edges, _CHI_BLOCK)]
+              for _ in range(0, G.size, _CHI_BLOCK))
+    return sum(chain.from_iterable(blocks), 0.0)
 
 
 def harary(G: Graph) -> Fraction:

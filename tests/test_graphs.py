@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from unittest import mock
@@ -150,6 +151,35 @@ class TestConstruction:
     def test_non_number_raises_type_error(self, pairs):
         with pytest.raises(TypeError):
             Graph(3, pairs)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Graph(3.5, []), "'float' object cannot be interpreted as an integer"),
+            (lambda: empty_graph(2.0), "'float' object cannot be interpreted as an integer"),
+            (lambda: Graph(3, [(0, 1.5)]), "edge (0, 1.5) has a vertex id of type float, not int"),
+            (lambda: Graph(3, [(0, 1.0)]), "edge (0, 1.0) has a vertex id of type float, not int"),
+            (lambda: Graph(4, [(0, 1), (Fraction(3), 2), (1.5, 3)]),
+             "edge (3, 2) has a vertex id of type Fraction, not int"),
+            # an iterator cannot be read again to find the pair
+            (lambda: Graph(3, iter([(2, 0.0)])), "an edge has a vertex id of type float, not int"),
+        ],
+        ids=["order", "empty_graph", "half", "float-one", "first-in-input-order", "iterator"],
+    )
+    def test_non_int_order_or_id_refused(self, build, message):
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("build", [Graph, empty_graph, path_graph, complete_graph, star_graph])
+    def test_bool_order_is_stored_as_an_int(self, build):
+        g = build(True)
+        assert g.order == 1 and type(g.order) is int
+        assert serialize_edge_list(g) == "1 0\n"
+
+    def test_bool_ids_are_stored_as_ints(self):
+        h = Graph(3, [(True, 2)])
+        assert h.edges == ((1, 2),) and all(type(u) is int for u in h.edges[0])
 
     def test_zero_order_rejected(self):
         with pytest.raises(GraphError):
@@ -309,13 +339,16 @@ class TestStoredLayout:
 
     @pytest.mark.parametrize("kind", list(ProductKind))
     def test_linear_indices_and_io_build_no_adjacency(self, kind):
-        G = product(cycle_graph(5), path_graph(4), kind)
+        factors = cycle_graph(5), path_graph(4)
+        G = product(*factors, kind)
+        # a factor that only feeds a product never counts its degrees
+        assert all(f._degrees is None for f in factors)
         for index in (first_zagreb, second_zagreb, neighbourhood_zagreb, forgotten, randic):
             index(G)
         assert G._adj is None
         H = parse_edge_list(serialize_edge_list(G))
         serialize_edge_list(H)
-        assert H._adj is None
+        assert H._adj is None and H._degrees is None
 
     @pytest.mark.parametrize(
         "clone",
@@ -329,10 +362,18 @@ class TestStoredLayout:
             g.adjacency
             g.neighbor_degree_sums()
         c = clone(g)
-        assert c._adj is None and c._sums is None
+        assert c._degrees is None and c._adj is None and c._sums is None
+        assert c.degrees() == g.degrees()
         assert c == g and hash(c) == hash(g)
         assert c.adjacency == g.adjacency
         assert c.neighbor_degree_sums() == g.neighbor_degree_sums()
+
+    def test_degrees_are_cached(self):
+        g = star_graph(4)
+        assert g._degrees is None
+        degrees = g.degrees()
+        assert g.degrees() is degrees and g._degrees is degrees
+        assert g.degree(0) == 3 and g._sums is None and g._adj is None
 
     def test_neighbor_degree_sums_are_cached(self):
         g = star_graph(4)

@@ -126,6 +126,28 @@ class TestClassicDegreeIndices:
         expected = sum(1.0 / math.sqrt(deg[u] * deg[v]) for u, v in g.edges)
         assert randic(g) == expected
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # degree products above 256, over several blocks of edges; ranked
+            families.rook(30, 30),
+            # every degree up to 4 is its own rank, over several blocks
+            families.grid(60, 70),
+            # isolated vertices beside edges, by degree and ranked
+            Graph(10, [(0, 1), (1, 2), (5, 6)]),
+            Graph(6, [(0, 1), (0, 2), (0, 3)]),
+            # a threshold graph: odd vertices join every earlier one, so 119
+            # of its 120 degrees are distinct
+            Graph(120, [(u, v) for v in range(1, 120, 2) for u in range(v)]),
+        ],
+        ids=["rook30x30", "grid60x70", "isolated-by-degree", "isolated-ranked", "threshold"],
+    )
+    def test_randic_matches_the_per_edge_sum_past_the_strategy(self, g):
+        deg = g.degrees()
+        value = randic(g)
+        assert value == sum(1.0 / math.sqrt(deg[u] * deg[v]) for u, v in g.edges)
+        assert type(value) is float
+
     @pytest.mark.parametrize("g", [path_graph(1), empty_graph(5)], ids=["K1", "5K1"])
     def test_randic_of_an_edgeless_graph_is_float_zero(self, g):
         for value in (randic(g), compute_index(g, "CHI")):
